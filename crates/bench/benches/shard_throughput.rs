@@ -20,14 +20,19 @@
 //! The headline metric is the **best-round throughput** per worker
 //! count, for the same co-tenancy reasons as `trial_latency`.
 //!
-//! Requires the `shard_worker` binary (`cargo build --release -p
-//! certify_shard` first, or let CI's workspace build produce it).
+//! Requires the `shard_worker` binary: the harness locates it before
+//! measuring anything and exits with the build command
+//! ([`BUILD_WORKER`]) when it is missing.
 
 use certify_bench::{json_number, resolve_baseline_path as resolve};
 use certify_core::campaign::{Campaign, Scenario};
 use certify_core::NullSink;
-use certify_shard::{run_sharded, ShardOptions};
+use certify_shard::{resolve_worker, run_sharded, ShardOptions};
+use std::path::{Path, PathBuf};
 use std::time::Instant;
+
+/// Builds the worker binary every sharded run spawns.
+const BUILD_WORKER: &str = "cargo build --release -p certify_shard --bin shard_worker";
 
 /// The acceptance floor: 4 workers vs 1 worker.
 const SPEEDUP_FLOOR: f64 = 1.5;
@@ -76,10 +81,24 @@ fn parse_args() -> Config {
     config
 }
 
+/// The `shard_worker` executable, or the reason it cannot be used
+/// (with the command that builds it).
+fn locate_worker() -> Result<PathBuf, String> {
+    let worker = resolve_worker().map_err(|e| format!("{e}; build it with `{BUILD_WORKER}`"))?;
+    if worker.is_file() {
+        Ok(worker)
+    } else {
+        Err(format!(
+            "shard worker {} does not exist; build it with `{BUILD_WORKER}`",
+            worker.display()
+        ))
+    }
+}
+
 /// Best-round throughput (trials/sec) of a sharded run at the given
 /// worker count.
-fn measure_sharded(campaign: &Campaign, workers: usize, rounds: usize) -> f64 {
-    let opts = ShardOptions::new(workers);
+fn measure_sharded(campaign: &Campaign, worker: &Path, workers: usize, rounds: usize) -> f64 {
+    let opts = ShardOptions::new(workers).with_worker(worker);
     let mut best = 0.0f64;
     for _ in 0..rounds {
         let start = Instant::now();
@@ -106,6 +125,10 @@ fn measure_in_process(campaign: &Campaign, rounds: usize) -> f64 {
 
 fn main() {
     let config = parse_args();
+    let worker = locate_worker().unwrap_or_else(|e| {
+        eprintln!("shard_throughput: {e}");
+        std::process::exit(2);
+    });
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -120,13 +143,13 @@ fn main() {
 
     let campaign = Campaign::new(Scenario::e3_fig3(), config.trials, 0xD5_2022);
     // Warm-up: shared platform blobs, page caches, one worker spawn.
-    run_sharded(&campaign, &ShardOptions::new(1), None)
+    run_sharded(&campaign, &ShardOptions::new(1).with_worker(&worker), None)
         .unwrap_or_else(|e| panic!("warm-up sharded run failed: {e}"));
 
     let in_process = measure_in_process(&campaign, config.rounds);
-    let w1 = measure_sharded(&campaign, 1, config.rounds);
-    let w2 = measure_sharded(&campaign, 2, config.rounds);
-    let w4 = measure_sharded(&campaign, 4, config.rounds);
+    let w1 = measure_sharded(&campaign, &worker, 1, config.rounds);
+    let w2 = measure_sharded(&campaign, &worker, 2, config.rounds);
+    let w4 = measure_sharded(&campaign, &worker, 4, config.rounds);
     let speedup_2 = w2 / w1;
     let speedup_4 = w4 / w1;
 

@@ -13,6 +13,16 @@
 //! ([`Campaign::run_parallel_streamed`]). The buffered
 //! [`Campaign::run`]/[`Campaign::run_parallel`] are thin collecting
 //! sinks over the same engine.
+//!
+//! **The pristine-prefix invariant.** A trial's seed reaches the system
+//! only through its injectors' RNGs, so until an injector first draws —
+//! its first fire attempt, or phase jitter at construction — every
+//! trial of a scenario is in the same state. A [`TrialRunner`] runs that
+//! seed-free prefix once: it learns its length `P` from the first trial,
+//! snapshots the system at step `P` (a snapshot of a system whose
+//! injectors have drawn is refused, always, not only in debug builds)
+//! and forks every later trial from a deep copy with reseeded
+//! injectors. A forked trial is byte-identical to a from-scratch one.
 
 use crate::certificate::ScenarioCertificate;
 use crate::classify::{classify, Outcome, RunReport};
@@ -31,7 +41,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 /// Seed offset decorrelating a trial's memory-injection RNG from its
 /// register-injection RNG (both are derived from the same trial seed).
@@ -220,6 +230,7 @@ impl Scenario {
             mem_spec: self.mem_spec.clone().map(Arc::new),
             steps: self.steps,
             rtos_heartbeat: self.rtos_heartbeat,
+            prefix: Arc::default(),
         }
     }
 
@@ -233,6 +244,25 @@ impl Scenario {
 /// A [`Scenario`] prepared for repeated trials: immutable parts are
 /// shared behind `Arc`s, so `run_trial` is allocation-light and
 /// `Clone` hands workers a cheap handle.
+///
+/// # The pristine prefix
+///
+/// Until an injector first draws from its RNG — its first fire
+/// attempt, or phase jitter at construction — a trial's state does not
+/// depend on its seed, so every trial of a scenario runs the same first
+/// `P` steps. The runner learns `P` from the first trial that finishes
+/// ([`System::seed_free_steps`]: `steps` when nothing fires, 0 when an
+/// injector draws at construction). The next trial saves a
+/// [`System::pristine_snapshot`] at step `P` on its way through, and
+/// every later trial starts from a deep copy of it with its injectors
+/// reseeded from the trial's seed ([`System::reseed_injectors`]).
+/// Traced trials keep a snapshot of their own, whose flight-recorder
+/// ring already holds the prefix's events.
+///
+/// Restored trials are byte-identical to from-scratch ones — results,
+/// CSV rows and trace dumps (pinned by `tests/hotpath_equivalence.rs`).
+/// With `P = 0` every trial runs from scratch. Clones of a runner
+/// share what it learned.
 #[derive(Debug, Clone)]
 pub struct TrialRunner {
     name: Arc<str>,
@@ -241,6 +271,35 @@ pub struct TrialRunner {
     mem_spec: Option<Arc<MemorySpec>>,
     steps: u64,
     rtos_heartbeat: bool,
+    prefix: Arc<Prefix>,
+}
+
+/// What a [`TrialRunner`] has learned about its scenario's pristine
+/// prefix.
+#[derive(Debug, Default)]
+struct Prefix {
+    /// `P`, known once a trial has run to the end.
+    steps: OnceLock<u64>,
+    /// Pristine systems at step `P`, keyed by flight-recorder capacity
+    /// (`None`: untraced).
+    snapshots: Mutex<Vec<(Option<usize>, Arc<System>)>>,
+}
+
+impl Prefix {
+    fn snapshot(&self, capacity: Option<usize>) -> Option<Arc<System>> {
+        let snapshots = self.snapshots.lock().expect("prefix snapshot lock");
+        snapshots
+            .iter()
+            .find(|(key, _)| *key == capacity)
+            .map(|(_, system)| Arc::clone(system))
+    }
+
+    fn save(&self, capacity: Option<usize>, system: System) {
+        let mut snapshots = self.snapshots.lock().expect("prefix snapshot lock");
+        if !snapshots.iter().any(|(key, _)| *key == capacity) {
+            snapshots.push((capacity, Arc::new(system)));
+        }
+    }
 }
 
 impl TrialRunner {
@@ -291,10 +350,51 @@ impl TrialRunner {
         .min(self.steps)
     }
 
+    /// Starts one seeded trial, with a fresh flight recorder of
+    /// `capacity` events attached when traced: at step 0 while the
+    /// pristine prefix `P` is unknown or 0, otherwise at step `P` —
+    /// restored from the snapshot, or run there and saved as the
+    /// snapshot when there is none yet.
+    fn start(&self, seed: u64, capacity: Option<usize>) -> System {
+        let prefix = self.prefix.steps.get().copied().filter(|&p| p > 0);
+        if let Some(snapshot) = prefix.and_then(|_| self.prefix.snapshot(capacity)) {
+            let mut system = System::clone(&snapshot);
+            system.reseed_injectors(seed, seed.wrapping_add(MEM_SEED_OFFSET));
+            return system;
+        }
+        let mut system = self.build_system(seed);
+        if let Some(capacity) = capacity {
+            system.set_tracer(TraceLog::new(capacity));
+        }
+        if let Some(p) = prefix {
+            system.run(p);
+            self.prefix.save(capacity, system.pristine_snapshot());
+        }
+        system
+    }
+
+    /// Runs a started trial to the end of its step budget. The first
+    /// trial to get there teaches the runner its pristine prefix.
+    fn finish(&self, system: &mut System) {
+        system.run(self.steps - system.steps_run());
+        self.prefix.steps.get_or_init(|| {
+            system
+                .seed_free_steps()
+                .unwrap_or(self.steps)
+                .min(self.steps)
+        });
+    }
+
+    /// The pristine prefix `P` this runner has learned, once one of its
+    /// trials has run to the end (see the type docs).
+    pub fn pristine_prefix(&self) -> Option<u64> {
+        self.prefix.steps.get().copied()
+    }
+
     /// Runs one seeded trial.
     pub fn run_trial(&self, seed: u64) -> TrialResult {
-        let mut system = self.build_system(seed);
-        system.run(self.steps);
+        let mut system = self.start(seed, None);
+        self.finish(&mut system);
         Self::result(seed, classify(&system))
     }
 
@@ -306,15 +406,17 @@ impl TrialRunner {
     ///
     /// The phase split leans on `System::run` being a plain
     /// incremental step loop: `run(a); run(b)` is `run(a + b)`, so
-    /// timing the run in two slices cannot perturb the trial.
+    /// timing the run in two slices cannot perturb the trial. A trial
+    /// restored at the pristine prefix counts the copy as boot and
+    /// starts steady state at step `P`.
     pub fn run_trial_observed(&self, seed: u64, clock: &dyn Clock) -> (TrialResult, PhaseSample) {
         let t0 = clock.now_ns();
-        let mut system = self.build_system(seed);
+        let mut system = self.start(seed, None);
         let t1 = clock.now_ns();
-        let split = self.injection_open_step();
-        system.run(split);
+        let start = system.steps_run();
+        system.run(self.injection_open_step().max(start) - start);
         let t2 = clock.now_ns();
-        system.run(self.steps - split);
+        self.finish(&mut system);
         let t3 = clock.now_ns();
         let trial = Self::result(seed, classify(&system));
         let t4 = clock.now_ns();
@@ -349,12 +451,13 @@ impl TrialRunner {
         let Some(config) = config else {
             return (self.run_trial(seed), None);
         };
-        let log = TraceLog::new(config.capacity);
-        let mut system = self.build_system(seed);
-        system.set_tracer(log.clone());
-        let steps = self.steps;
+        let mut system = self.start(seed, Some(config.capacity));
+        let log = system
+            .tracer()
+            .expect("a traced trial starts with a recorder")
+            .clone();
         let run = |system: &mut System| {
-            system.run(steps);
+            self.finish(system);
             classify(system)
         };
         let report = if config.policy.on_panic {
@@ -450,10 +553,10 @@ impl Campaign {
     }
 
     /// Attaches a pre-flight certificate (builder style). Debug builds
-    /// then assert every trial of [`Campaign::run_range_streamed`]
-    /// against it — predicted outcomes, injection budgets and tracked
-    /// regions — turning a certificate/engine disagreement into an
-    /// immediate panic instead of a silent mis-prediction.
+    /// then assert every trial of every engine against it — predicted
+    /// outcomes, injection budgets and tracked regions — turning a
+    /// certificate/engine disagreement into an immediate panic instead
+    /// of a silent mis-prediction.
     pub fn with_certificate(mut self, certificate: Arc<ScenarioCertificate>) -> Campaign {
         self.certificate = Some(certificate);
         self
@@ -585,26 +688,56 @@ impl Campaign {
         let runner = self.scenario.runner();
         let mut stats = CampaignStats::new(self.scenario.name.clone());
         #[cfg(debug_assertions)]
-        let prediction = self
-            .scenario
-            .mem_spec
-            .as_ref()
-            .map(MemorySpec::skip_prediction);
+        let prediction = self.skip_prediction();
         for seq in start_trial..end {
             let (trial, dump) =
                 runner.run_trial_traced(self.base_seed + seq as u64, self.trace.as_ref());
             #[cfg(debug_assertions)]
-            assert_skips_predicted(prediction.as_ref(), &trial);
-            #[cfg(debug_assertions)]
-            assert_certificate_conformance(self.certificate.as_deref(), &trial);
-            stats.record(&trial);
-            let kept = dump.filter(|_| self.should_dump(&trial));
-            sink.accept(seq, trial);
-            if let Some(dump) = kept {
-                sink.accept_dump(seq, dump);
-            }
+            self.assert_trial_invariants(prediction.as_ref(), &trial);
+            self.deliver(seq, trial, dump, &mut stats, sink);
         }
         stats
+    }
+
+    /// Delivers one finished trial the way every engine does: folds it
+    /// into `stats`, hands the row to `sink`, then the dump if the
+    /// policy keeps it.
+    fn deliver<S: TrialSink + ?Sized>(
+        &self,
+        seq: usize,
+        trial: TrialResult,
+        dump: Option<TraceDump>,
+        stats: &mut CampaignStats,
+        sink: &mut S,
+    ) {
+        stats.record(&trial);
+        let kept = dump.filter(|_| self.should_dump(&trial));
+        sink.accept(seq, trial);
+        if let Some(dump) = kept {
+            sink.accept_dump(seq, dump);
+        }
+    }
+
+    /// The static skip analysis of the scenario's memory spec, if any.
+    #[cfg(debug_assertions)]
+    fn skip_prediction(&self) -> Option<crate::memfault::SkipPrediction> {
+        self.scenario
+            .mem_spec
+            .as_ref()
+            .map(MemorySpec::skip_prediction)
+    }
+
+    /// The debug-build invariants every engine asserts on each trial
+    /// before delivering it: skips the static analysis predicted, and
+    /// conformance to the attached certificate.
+    #[cfg(debug_assertions)]
+    fn assert_trial_invariants(
+        &self,
+        prediction: Option<&crate::memfault::SkipPrediction>,
+        trial: &TrialResult,
+    ) {
+        assert_skips_predicted(prediction, trial);
+        assert_certificate_conformance(self.certificate.as_deref(), trial);
     }
 
     /// Runs all trials across `workers` threads, delivering reports to
@@ -771,6 +904,8 @@ impl Campaign {
                 space: &space,
             };
             let tracker = clock.map(|clock| ProgressTracker::new(clock, None, trials as u64));
+            #[cfg(debug_assertions)]
+            let prediction = self.skip_prediction();
             for seq in 0..trials {
                 let (trial, dump) = {
                     let mut state = shared.lock().expect("campaign engine lock");
@@ -782,12 +917,9 @@ impl Campaign {
                         state = ready.wait(state).expect("campaign engine lock");
                     }
                 };
-                stats.record(&trial);
-                let kept = dump.filter(|_| self.should_dump(&trial));
-                sink.accept(seq, trial);
-                if let Some(dump) = kept {
-                    sink.accept_dump(seq, dump);
-                }
+                #[cfg(debug_assertions)]
+                self.assert_trial_invariants(prediction.as_ref(), &trial);
+                self.deliver(seq, trial, dump, &mut stats, sink);
                 let mut state = shared.lock().expect("campaign engine lock");
                 state.undelivered -= 1;
                 state.delivered += 1;
@@ -1110,6 +1242,41 @@ mod tests {
         let stats = Campaign::new(scenario, 2, 5).run_streamed(&mut crate::sink::NullSink);
         assert_eq!(stats.trials, 2);
         assert_eq!(stats.mem_injected_trials, 0, "every injection skipped");
+    }
+
+    /// A certificate that rules out every outcome: any trial violates
+    /// it.
+    #[cfg(debug_assertions)]
+    fn impossible_certificate() -> Arc<ScenarioCertificate> {
+        Arc::new(ScenarioCertificate {
+            scenario_name: "golden".into(),
+            cell_reachable: true,
+            script_steps: None,
+            outcomes: Default::default(),
+            reg_budget: None,
+            mem_budget: None,
+            tracked_regions: Default::default(),
+            reg_phases: Vec::new(),
+            mem_phases: Vec::new(),
+        })
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "violates the scenario certificate")]
+    fn sequential_engine_asserts_certificate_conformance() {
+        Campaign::new(Scenario::golden(400), 2, 1)
+            .with_certificate(impossible_certificate())
+            .run_streamed(&mut crate::sink::NullSink);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "violates the scenario certificate")]
+    fn parallel_engine_asserts_certificate_conformance() {
+        Campaign::new(Scenario::golden(400), 4, 1)
+            .with_certificate(impossible_certificate())
+            .run_parallel_streamed(2, &mut crate::sink::NullSink);
     }
 
     #[test]

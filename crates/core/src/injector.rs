@@ -76,7 +76,10 @@ impl InjectionLog {
 }
 
 /// The fault injector.
-#[derive(Debug)]
+///
+/// `Clone` copies the injector's state but shares its log handle;
+/// [`crate::System`]'s deep copy gives the copy a log of its own.
+#[derive(Debug, Clone)]
 pub struct Injector {
     spec: Arc<InjectionSpec>,
     /// The spec's handler-target set as a flat mask indexed by
@@ -88,6 +91,8 @@ pub struct Injector {
     injections_done: u64,
     /// Next firing deadline (time-triggered mode only).
     next_deadline: u64,
+    /// Step of the first RNG draw (see [`Injector::first_draw`]).
+    first_draw: Option<u64>,
     log: InjectionLog,
 }
 
@@ -116,14 +121,52 @@ impl Injector {
             target_mask[handler.index()] = true;
         }
         Injector {
-            spec,
             target_mask,
             rng,
             filtered_calls: phase,
             injections_done: 0,
             next_deadline: 0,
+            first_draw: spec.phase_jitter.then_some(0),
+            spec,
             log: InjectionLog::default(),
         }
+    }
+
+    /// The simulator step of the injector's first RNG draw: `Some(0)`
+    /// when phase jitter drew at construction, the step of the first
+    /// fire attempt otherwise, `None` while the injector is *pristine*.
+    /// Until its first draw nothing the injector did depends on its
+    /// seed.
+    pub(crate) fn first_draw(&self) -> Option<u64> {
+        self.first_draw
+    }
+
+    /// Re-keys a pristine injector for another trial: a fresh RNG from
+    /// `seed` and a fresh, empty log (returned), keeping the seed-free
+    /// counters. The result is the injector `Injector::new(spec, seed)`
+    /// would be after the same handler stream.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the injector has drawn from its RNG: its state then
+    /// depends on the old seed.
+    pub(crate) fn reseed(&mut self, seed: u64) -> InjectionLog {
+        assert!(
+            self.first_draw.is_none(),
+            "cannot reseed an injector that has drawn from its RNG"
+        );
+        self.rng = StdRng::seed_from_u64(seed);
+        self.log = InjectionLog::default();
+        self.log.clone()
+    }
+
+    /// Gives this injector an independent copy of its log and returns
+    /// a handle to it.
+    pub(crate) fn detach_log(&mut self) -> InjectionLog {
+        self.log = InjectionLog {
+            inner: Arc::new(Mutex::new(self.log.records())),
+        };
+        self.log.clone()
     }
 
     /// A shared handle to the injection log, usable after the injector
@@ -175,6 +218,7 @@ impl InjectionHook for Injector {
                 }
             }
         }
+        self.first_draw.get_or_insert(ctx.step);
         let faults = self.spec.model.apply(ctx.regs, &mut self.rng);
         if faults.is_empty() {
             return;
@@ -334,6 +378,52 @@ mod tests {
         let steps: Vec<u64> = log.records().iter().map(|r| r.step).collect();
         assert_eq!(steps, vec![29, 39, 49, 59]);
         assert_eq!(injector.filtered_calls(), 100, "calls counted throughout");
+    }
+
+    #[test]
+    fn first_draw_marks_the_first_fire_attempt() {
+        let spec = InjectionSpec::e3_nonroot_trap_medium().with_rate(10);
+        let mut injector = Injector::new(spec, 1);
+        call(&mut injector, HandlerKind::ArchHandleTrap, CpuId(1), 9);
+        assert_eq!(injector.first_draw(), None, "pristine before call 10");
+        call(&mut injector, HandlerKind::ArchHandleTrap, CpuId(1), 1);
+        assert_eq!(injector.first_draw(), Some(0), "call 10 came at step 0");
+    }
+
+    #[test]
+    fn phase_jitter_draws_at_construction() {
+        let spec = InjectionSpec::e3_nonroot_trap_medium()
+            .with_rate(10)
+            .with_phase_jitter();
+        assert_eq!(Injector::new(spec, 1).first_draw(), Some(0));
+    }
+
+    #[test]
+    fn reseeding_a_pristine_injector_matches_a_fresh_one() {
+        let spec = InjectionSpec::e3_nonroot_trap_medium().with_rate(7);
+        let mut forked = Injector::new(spec.clone(), 1);
+        call(&mut forked, HandlerKind::ArchHandleTrap, CpuId(1), 6);
+        let log = forked.reseed(99);
+        call(&mut forked, HandlerKind::ArchHandleTrap, CpuId(1), 64);
+        let mut fresh = Injector::new(spec, 99);
+        call(&mut fresh, HandlerKind::ArchHandleTrap, CpuId(1), 70);
+        // Same faults; the forked stream's steps restart at 0.
+        let faults = |records: Vec<InjectionRecord>| -> Vec<_> {
+            records
+                .into_iter()
+                .map(|r| (r.filtered_call, r.faults))
+                .collect()
+        };
+        assert_eq!(faults(log.records()), faults(fresh.log().records()));
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot reseed")]
+    fn reseeding_after_a_draw_is_refused() {
+        let spec = InjectionSpec::e3_nonroot_trap_medium().with_rate(1);
+        let mut injector = Injector::new(spec, 1);
+        call(&mut injector, HandlerKind::ArchHandleTrap, CpuId(1), 1);
+        injector.reseed(2);
     }
 
     #[test]

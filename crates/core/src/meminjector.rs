@@ -97,13 +97,18 @@ impl MemInjectionLog {
 }
 
 /// The memory-fault injector.
-#[derive(Debug)]
+///
+/// `Clone` copies the injector's state but shares its log and trace
+/// handles; [`crate::System`]'s deep copy gives the copy its own.
+#[derive(Debug, Clone)]
 pub struct MemInjector {
     spec: Arc<MemorySpec>,
     rng: StdRng,
     /// Next filtered-call threshold that fires an injection.
     next_fire: u64,
     injections_done: u64,
+    /// Step of the first RNG draw (see [`MemInjector::first_draw`]).
+    first_draw: Option<u64>,
     log: MemInjectionLog,
     /// The causal trace sink, if a flight recorder is attached; every
     /// applied or skipped attempt is recorded into it.
@@ -130,12 +135,50 @@ impl MemInjector {
         };
         MemInjector {
             next_fire: spec.rate - phase,
+            first_draw: spec.phase_jitter.then_some(0),
             spec,
             rng,
             injections_done: 0,
             log: MemInjectionLog::default(),
             tracer: None,
         }
+    }
+
+    /// The simulator step of the injector's first RNG draw: `Some(0)`
+    /// when phase jitter drew at construction, the step of the first
+    /// fire attempt otherwise, `None` while the injector is *pristine*.
+    /// Until its first draw nothing the injector did depends on its
+    /// seed.
+    pub(crate) fn first_draw(&self) -> Option<u64> {
+        self.first_draw
+    }
+
+    /// Re-keys a pristine injector for another trial: a fresh RNG from
+    /// `seed` and a fresh, empty log (returned), keeping the seed-free
+    /// cadence state. The result is the injector
+    /// `MemInjector::new(spec, seed)` would be after the same steps.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the injector has drawn from its RNG: its state then
+    /// depends on the old seed.
+    pub(crate) fn reseed(&mut self, seed: u64) -> MemInjectionLog {
+        assert!(
+            self.first_draw.is_none(),
+            "cannot reseed a memory injector that has drawn from its RNG"
+        );
+        self.rng = StdRng::seed_from_u64(seed);
+        self.log = MemInjectionLog::default();
+        self.log.clone()
+    }
+
+    /// Gives this injector an independent copy of its log and returns
+    /// a handle to it.
+    pub(crate) fn detach_log(&mut self) -> MemInjectionLog {
+        self.log = MemInjectionLog {
+            inner: Arc::new(Mutex::new(self.log.records())),
+        };
+        self.log.clone()
     }
 
     /// Attaches a causal trace log; every injection attempt (applied
@@ -155,18 +198,19 @@ impl MemInjector {
     }
 
     /// The spec's filtered call stream: calls to the target handlers
-    /// from the filtered CPU, as counted by the hypervisor.
+    /// from the filtered CPU, as counted by the hypervisor. Runs every
+    /// simulator step, so it sums in place without allocating.
     fn filtered_calls(&self, machine: &Machine, hv: &Hypervisor) -> u64 {
-        let cpus: Vec<u32> = match self.spec.cpu_filter {
-            Some(cpu) => vec![cpu.0],
-            None => (0..machine.num_cpus() as u32).collect(),
+        let cpus = match self.spec.cpu_filter {
+            Some(cpu) => cpu.0..cpu.0 + 1,
+            None => 0..machine.num_cpus() as u32,
         };
         self.spec
             .targets
             .iter()
             .flat_map(|&handler| {
-                cpus.iter()
-                    .map(move |&c| hv.call_count(handler, certify_arch::CpuId(c)))
+                cpus.clone()
+                    .map(move |c| hv.call_count(handler, certify_arch::CpuId(c)))
             })
             .sum()
     }
@@ -188,6 +232,7 @@ impl MemInjector {
             if !self.spec.armed(step) {
                 continue;
             }
+            self.first_draw.get_or_insert(step);
             let (region, addr) = self.spec.target.sample(&mut self.rng);
             let record = match self
                 .spec

@@ -21,6 +21,7 @@ use certify_hypervisor::hypercall as hc;
 use certify_hypervisor::{CellId, Guest, GuestCtx, Hypervisor, SystemConfig};
 use certify_obs::trace::{TraceEvent, TraceKind, TraceLog, NO_CPU};
 use certify_rtos::RtosGuest;
+use std::any::Any;
 use std::sync::Arc;
 
 /// Maximum interrupts drained per CPU per step (loop guard).
@@ -54,6 +55,40 @@ pub struct System {
     /// handful of times per run; the step loop asks every step).
     owner_cache: Vec<Option<CellId>>,
     owner_epoch: u64,
+}
+
+/// A deep copy that shares nothing mutable with the original: the
+/// flight-recorder ring attached with [`System::set_tracer`] and both
+/// injection logs are copied, not shared (the immutable script and
+/// specs stay shared behind their `Arc`s). Running the copy and the
+/// original the same number of steps yields the same state.
+impl Clone for System {
+    fn clone(&self) -> System {
+        let mut copy = System {
+            machine: self.machine.clone(),
+            hv: self.hv.clone(),
+            linux: self.linux.clone(),
+            rtos: self.rtos.clone(),
+            cell_start_step: self.cell_start_step,
+            injection_log: self.injection_log.clone(),
+            mem_injector: self.mem_injector.clone(),
+            mem_injection_log: None,
+            steps_run: self.steps_run,
+            rtos_broken_observed: self.rtos_broken_observed,
+            tracer: None,
+            boot_failures: self.boot_failures,
+            owner_cache: self.owner_cache.clone(),
+            owner_epoch: self.owner_epoch,
+        };
+        if let Some(injector) = copy.injector_mut() {
+            copy.injection_log = Some(injector.detach_log());
+        }
+        copy.mem_injection_log = copy.mem_injector.as_mut().map(MemInjector::detach_log);
+        if let Some(tracer) = &self.tracer {
+            copy.set_tracer(tracer.deep_copy());
+        }
+        copy
+    }
 }
 
 impl std::fmt::Debug for System {
@@ -155,6 +190,72 @@ impl System {
         self.injection_log.as_ref()
     }
 
+    /// The register injector installed by [`System::install_injector`],
+    /// if the hypervisor still holds it.
+    fn injector(&self) -> Option<&Injector> {
+        let hook: &dyn Any = self.hv.hook()?;
+        hook.downcast_ref()
+    }
+
+    fn injector_mut(&mut self) -> Option<&mut Injector> {
+        let hook: &mut dyn Any = self.hv.hook_mut()?;
+        hook.downcast_mut()
+    }
+
+    /// How many steps of this run are *seed-free*: the steps completed
+    /// before any installed injector first drew from its RNG. `Some(0)`
+    /// when phase jitter drew at construction, `Some(s - 1)` when the
+    /// first fire attempt came during step `s` (steps count from 1, as
+    /// [`System::steps_run`] does), `None` while every injector is
+    /// pristine or none is installed. Up to that point the run is the
+    /// same for every injector seed.
+    pub fn seed_free_steps(&self) -> Option<u64> {
+        let register = self.injector().and_then(Injector::first_draw);
+        let memory = self.mem_injector.as_ref().and_then(MemInjector::first_draw);
+        register
+            .into_iter()
+            .chain(memory)
+            .min()
+            .map(|step| step.saturating_sub(1))
+    }
+
+    /// A deep copy to fork seeded trials from (see
+    /// [`System::reseed_injectors`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if an installed injector has drawn from its RNG: the
+    /// state would then carry this run's seed into every fork. This
+    /// check is always on.
+    pub fn pristine_snapshot(&self) -> System {
+        assert!(
+            self.seed_free_steps().is_none(),
+            "refusing to snapshot a system whose injectors have attempted a fire (at step {})",
+            self.steps_run
+        );
+        self.clone()
+    }
+
+    /// Re-keys the installed injectors of a pristine system as if they
+    /// had been installed with `seed` (register) and `mem_seed`
+    /// (memory): fresh RNGs and empty logs, seed-free counters kept.
+    /// On a copy of a pristine system this yields, step for step, the
+    /// system [`System::install_injector`] and
+    /// [`System::install_mem_injector`] with those seeds would have
+    /// reached.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an installed injector has drawn from its RNG.
+    pub fn reseed_injectors(&mut self, seed: u64, mem_seed: u64) {
+        if let Some(injector) = self.injector_mut() {
+            self.injection_log = Some(injector.reseed(seed));
+        }
+        if let Some(injector) = self.mem_injector.as_mut() {
+            self.mem_injection_log = Some(injector.reseed(mem_seed));
+        }
+    }
+
     /// Installs a memory-fault injector built from `spec` (owned or
     /// shared via `Arc`), seeded with `seed`. Returns a live handle to
     /// the memory-injection log. Can coexist with a register injector
@@ -188,6 +289,11 @@ impl System {
             injector.set_tracer(tracer.clone());
         }
         self.tracer = Some(tracer);
+    }
+
+    /// The attached causal trace log, if any.
+    pub fn tracer(&self) -> Option<&TraceLog> {
+        self.tracer.as_ref()
     }
 
     /// The memory-injection log, if a memory injector is installed.
@@ -510,6 +616,61 @@ mod tests {
         );
         system.run(3000);
         assert!(log.applied() > 0, "no memory injections applied");
+    }
+
+    #[test]
+    #[should_panic(expected = "refusing to snapshot")]
+    fn snapshot_refuses_a_system_whose_injector_fired() {
+        let mut system = System::new(MgmtScript::bring_up_and_run(4000));
+        system.install_injector(InjectionSpec::e3_nonroot_trap_medium().with_rate(10), 7);
+        system.run(3000);
+        system.pristine_snapshot();
+    }
+
+    #[test]
+    fn reseeded_snapshot_runs_like_a_fresh_install() {
+        use crate::memfault::{MemFaultModel, MemTarget};
+        let spec = Arc::new(InjectionSpec::e3_nonroot_trap_medium().with_rate(25));
+        let mem_spec = Arc::new(
+            MemorySpec::e6_memory(MemFaultModel::SingleBitFlip, MemTarget::e6())
+                .with_rate(25)
+                .with_window(1500, 3000),
+        );
+        let fresh = |seed: u64| {
+            let mut system = System::new(MgmtScript::bring_up_and_run(4000));
+            system.install_injector(Arc::clone(&spec), seed);
+            system.install_mem_injector(Arc::clone(&mem_spec), seed + 1);
+            system
+        };
+        let mut probe = fresh(1);
+        probe.run(3000);
+        let prefix = probe.seed_free_steps().expect("an injector fired");
+
+        let mut live = fresh(1);
+        live.run(prefix);
+        let snapshot = live.pristine_snapshot();
+        let mut forked = snapshot.clone();
+        forked.reseed_injectors(2, 3);
+        forked.run(3000 - prefix);
+        let mut reference = fresh(2);
+        reference.run(3000);
+
+        let (forked_log, reference_log) = (forked.injection_log(), reference.injection_log());
+        assert_eq!(
+            forked_log.unwrap().records(),
+            reference_log.unwrap().records()
+        );
+        assert_eq!(
+            forked.mem_injection_log().unwrap().records(),
+            reference.mem_injection_log().unwrap().records()
+        );
+        assert!(!forked_log.unwrap().is_empty());
+        assert_eq!(forked.serial_lines(), reference.serial_lines());
+        assert_eq!(forked.hv.events(), reference.hv.events());
+        // The snapshot shares nothing with its fork.
+        assert_eq!(snapshot.steps_run(), prefix);
+        assert!(snapshot.injection_log().unwrap().is_empty());
+        assert!(snapshot.mem_injection_log().unwrap().is_empty());
     }
 
     #[test]

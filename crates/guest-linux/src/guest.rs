@@ -15,7 +15,9 @@ pub const CELL_BLOB_ADDR: u32 = memmap::ROOT_RAM_BASE + 0x0200_0000;
 /// Steps between heartbeat LED toggles.
 pub const HEARTBEAT_PERIOD: u64 = 16;
 
-/// The root-cell guest.
+/// The root-cell guest. `Clone` is a deep copy (the immutable script
+/// stays shared).
+#[derive(Clone)]
 pub struct LinuxGuest {
     /// The script program is immutable (only the `pc` cursor below
     /// advances), so campaigns share one `Arc` across all trials.

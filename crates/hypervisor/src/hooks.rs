@@ -13,6 +13,7 @@
 
 use certify_arch::{CpuId, RegisterFile};
 use serde::{Deserialize, Serialize};
+use std::any::Any;
 use std::fmt;
 
 /// The three handlers identified by the paper's golden-run profiling.
@@ -95,7 +96,13 @@ impl HookCtx<'_> {
 }
 
 /// A fault-injection (or tracing) hook installed into the hypervisor.
-pub trait InjectionHook: fmt::Debug {
+///
+/// Hooks are `Clone` (through [`HookClone`], implemented for every
+/// `Clone` hook) so a [`crate::Hypervisor`] can be deep-copied with
+/// its hook, and `Any` so the owner of a copied hypervisor can reach
+/// its concrete hook again (`&mut dyn InjectionHook` upcasts to
+/// `&mut dyn Any`).
+pub trait InjectionHook: fmt::Debug + Any + Send + Sync + HookClone {
     /// Invoked at every profiled-handler entry, before the handler
     /// reads any register.
     ///
@@ -103,6 +110,25 @@ pub trait InjectionHook: fmt::Debug {
     /// [`HookCtx::mark_touched`]; otherwise the hypervisor assumes the
     /// context is untouched and skips corruption-dependent work.
     fn on_handler_entry(&mut self, ctx: &mut HookCtx<'_>);
+}
+
+/// Boxed cloning for [`InjectionHook`] trait objects; implemented for
+/// every hook that is `Clone`.
+pub trait HookClone {
+    /// A boxed copy of this hook.
+    fn clone_hook(&self) -> Box<dyn InjectionHook>;
+}
+
+impl<T: InjectionHook + Clone> HookClone for T {
+    fn clone_hook(&self) -> Box<dyn InjectionHook> {
+        Box::new(self.clone())
+    }
+}
+
+impl Clone for Box<dyn InjectionHook> {
+    fn clone(&self) -> Self {
+        self.clone_hook()
+    }
 }
 
 /// A hook that only counts calls — used for golden-run profiling

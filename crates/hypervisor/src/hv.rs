@@ -53,6 +53,12 @@ pub enum IrqDelivery {
 const NUM_HANDLERS: usize = HandlerKind::ALL.len();
 
 /// The partitioning hypervisor.
+///
+/// `Clone` is a deep copy of the hypervisor state, hook included; an
+/// attached trace log is a shared handle (see
+/// [`certify_obs::trace::TraceLog`]), so the copy records into the
+/// same ring until [`Hypervisor::set_tracer`] points it elsewhere.
+#[derive(Clone)]
 pub struct Hypervisor {
     platform: SystemConfig,
     enabled: bool,
@@ -222,6 +228,16 @@ impl Hypervisor {
     /// Removes the injection hook, returning it.
     pub fn take_hook(&mut self) -> Option<Box<dyn InjectionHook>> {
         self.hook.take()
+    }
+
+    /// The installed injection hook, if any.
+    pub fn hook(&self) -> Option<&dyn InjectionHook> {
+        self.hook.as_deref()
+    }
+
+    /// The installed injection hook, mutably, if any.
+    pub fn hook_mut(&mut self) -> Option<&mut dyn InjectionHook> {
+        self.hook.as_deref_mut()
     }
 
     /// Whether any corruption notice is queued — an O(1) gate so the
@@ -1862,7 +1878,7 @@ mod tests {
     fn corrupted_pointer_register_causes_wild_store_and_einval() {
         // Install a hook that corrupts the cell-structure pointer r5 at
         // hvc entry — the medium-intensity panic-park path.
-        #[derive(Debug)]
+        #[derive(Debug, Clone)]
         struct FlipR5;
         impl InjectionHook for FlipR5 {
             fn on_handler_entry(&mut self, ctx: &mut HookCtx<'_>) {
@@ -1892,7 +1908,7 @@ mod tests {
 
     #[test]
     fn wild_store_to_device_space_panics_the_hypervisor() {
-        #[derive(Debug)]
+        #[derive(Debug, Clone)]
         struct ZeroR13;
         impl InjectionHook for ZeroR13 {
             fn on_handler_entry(&mut self, ctx: &mut HookCtx<'_>) {
@@ -1912,7 +1928,7 @@ mod tests {
 
     #[test]
     fn corrupted_syndrome_class_parks_with_the_corrupted_code() {
-        #[derive(Debug)]
+        #[derive(Debug, Clone)]
         struct FlipEcBit;
         impl InjectionHook for FlipEcBit {
             fn on_handler_entry(&mut self, ctx: &mut HookCtx<'_>) {
@@ -1939,7 +1955,7 @@ mod tests {
 
     #[test]
     fn irq_vector_corruption_yields_predictable_irq_error() {
-        #[derive(Debug)]
+        #[derive(Debug, Clone)]
         struct FlipR0;
         impl InjectionHook for FlipR0 {
             fn on_handler_entry(&mut self, ctx: &mut HookCtx<'_>) {

@@ -73,6 +73,6 @@ pub use config::{CellConfig, MemFlags, MemRegion, SystemConfig};
 pub use error::HvError;
 pub use event::{CpuParkTally, Evidence, HvEvent};
 pub use guest::{Guest, GuestCtx, GuestHealth};
-pub use hooks::{HandlerKind, HookCtx, InjectionHook};
+pub use hooks::{HandlerKind, HookClone, HookCtx, InjectionHook};
 pub use hv::Hypervisor;
 pub use ivshmem::IvshmemChannel;

@@ -250,6 +250,14 @@ impl TraceLog {
     pub fn dropped(&self) -> u64 {
         self.0.lock().expect("trace log poisoned").dropped()
     }
+
+    /// A log over an independent copy of this one's ring — same
+    /// events, `total` and `dropped` — that shares nothing with it
+    /// (unlike `clone`, which shares the ring).
+    pub fn deep_copy(&self) -> TraceLog {
+        let recorder = self.0.lock().expect("trace log poisoned").clone();
+        TraceLog(Arc::new(Mutex::new(recorder)))
+    }
 }
 
 #[cfg(test)]
@@ -318,6 +326,21 @@ mod tests {
         assert_eq!(events[1].step, 2);
         assert_eq!(clone.total(), 2);
         assert_eq!(clone.dropped(), 0);
+    }
+
+    #[test]
+    fn deep_copies_share_nothing() {
+        let log = TraceLog::new(2);
+        for step in 0..3 {
+            log.record(event(step, TraceKind::HandlerEntry));
+        }
+        let copy = log.deep_copy();
+        assert_eq!(copy.snapshot(), log.snapshot());
+        assert_eq!((copy.total(), copy.dropped()), (3, 1));
+        copy.record(event(9, TraceKind::ClassifyVerdict));
+        assert_eq!(log.total(), 3, "the original ring is untouched");
+        assert_eq!(copy.snapshot()[1].step, 9);
+        assert_eq!(copy.dropped(), 2, "the copy keeps the capacity");
     }
 
     #[test]

@@ -12,6 +12,11 @@ use std::fmt;
 
 /// The non-root cell guest of the paper: FreeRTOS with the blink /
 /// send-receive / float / integer task set.
+///
+/// `Clone` is a deep copy (kernel, tasks and all); an attached trace
+/// log stays a shared handle until [`RtosGuest::set_tracer`] replaces
+/// it.
+#[derive(Clone)]
 pub struct RtosGuest {
     kernel: Rtos,
     expected_entry: u32,

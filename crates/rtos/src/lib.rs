@@ -51,4 +51,4 @@ pub use guest::RtosGuest;
 pub use kernel::Rtos;
 pub use queue::{QueueId, RecvOutcome, SendOutcome};
 pub use sync::{LockOutcome, MutexId, SemaphoreId, TakeOutcome};
-pub use task::{Priority, SliceResult, TaskCode, TaskEnv, TaskId, TaskState};
+pub use task::{Priority, SliceResult, TaskCode, TaskCodeClone, TaskEnv, TaskId, TaskState};

@@ -146,13 +146,35 @@ impl fmt::Debug for TaskEnv<'_, '_> {
 }
 
 /// A task body: called one slice at a time by the scheduler.
-pub trait TaskCode: fmt::Debug {
+///
+/// Task bodies are `Clone` (through [`TaskCodeClone`], implemented for
+/// every `Clone` task) so a kernel can be deep-copied mid-run.
+pub trait TaskCode: fmt::Debug + Send + Sync + TaskCodeClone {
     /// Executes one scheduling quantum and reports what to do next.
     fn execute_slice(&mut self, env: &mut TaskEnv<'_, '_>) -> SliceResult;
 }
 
+/// Boxed cloning for [`TaskCode`] trait objects; implemented for every
+/// task body that is `Clone`.
+pub trait TaskCodeClone {
+    /// A boxed copy of this task body.
+    fn clone_task(&self) -> Box<dyn TaskCode>;
+}
+
+impl<T: TaskCode + Clone + 'static> TaskCodeClone for T {
+    fn clone_task(&self) -> Box<dyn TaskCode> {
+        Box::new(self.clone())
+    }
+}
+
+impl Clone for Box<dyn TaskCode> {
+    fn clone(&self) -> Self {
+        self.clone_task()
+    }
+}
+
 /// The kernel-side task record.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Tcb {
     /// Task id.
     pub id: TaskId,

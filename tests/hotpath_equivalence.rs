@@ -18,7 +18,12 @@
 //!   (55 panic park / 16 cpu park / 79 correct at 0xD52022);
 //! * telemetry is inert: an instrumented run (`certify_obs` clock,
 //!   metrics and progress snapshots) produces the same stats and the
-//!   same CSV bytes as the uninstrumented engine.
+//!   same CSV bytes as the uninstrumented engine;
+//! * restoring a trial from the runner's pristine-prefix snapshot is a
+//!   from-scratch run: the same `TrialResult`, CSV row and trace-dump
+//!   JSON as a `System` built from public calls, for every built-in
+//!   scenario, traced and untraced, through the runner and the
+//!   parallel engine.
 
 use certify_analysis::{campaign_to_csv, CsvSink};
 use certify_core::campaign::{Campaign, Scenario};
@@ -381,4 +386,244 @@ fn e3_shape_at_the_bench_seed_is_preserved() {
     assert_eq!(stats.count(Outcome::CpuPark), 16, "{stats}");
     assert_eq!(stats.count(Outcome::Correct), 79, "{stats}");
     assert_eq!(stats.trials, 150);
+}
+
+/// Every built-in scenario: golden (`P = steps`), E1, E2 free-running
+/// (`P = 0`: phase jitter draws at construction), the boot window, E3,
+/// E5a, E5b, each E6 memory model and mixed E7.
+fn all_scenarios() -> Vec<Scenario> {
+    use certify_core::memfault::{MemFaultModel, MemTarget};
+    let mut scenarios = vec![
+        Scenario::golden(1500),
+        Scenario::e1_root_high(),
+        Scenario::e2_nonroot_high(),
+        Scenario::e2_boot_window(),
+        Scenario::e3_fig3(),
+        Scenario::e5a_watchdog(),
+        Scenario::e5b_monitor(),
+    ];
+    for model in MemFaultModel::e6_models() {
+        scenarios.push(Scenario::e6_memory(model, MemTarget::e6()));
+    }
+    scenarios.push(Scenario::e7_mixed());
+    scenarios
+}
+
+/// A small ring, so the prefix's events overflow it and restored
+/// trials must carry `dropped` over too.
+fn restore_trace() -> certify_core::TraceConfig {
+    certify_core::TraceConfig::new()
+        .with_capacity(96)
+        .with_policy(certify_core::DumpPolicy::all_outcomes())
+}
+
+/// One trial built from public calls only — `System::new*`,
+/// `install_*injector`, `set_tracer`, `run`, `classify` — with the
+/// ring captured the way a traced trial captures it: its CSV row and,
+/// when `capacity` is set, its dump JSON.
+fn reference_trial(
+    scenario: &Scenario,
+    seed: u64,
+    capacity: Option<usize>,
+) -> (certify_core::TrialResult, String, Option<String>) {
+    use certify_core::TrialResult;
+    use certify_uncertified::obs::trace::{TraceEvent, TraceKind, TraceLog, NO_CPU};
+
+    let script = Arc::new(scenario.script.clone());
+    let mut system = if scenario.rtos_heartbeat {
+        System::new_with_heartbeat(script)
+    } else {
+        System::new(script)
+    };
+    let log = capacity.map(TraceLog::new);
+    if let Some(log) = &log {
+        system.set_tracer(log.clone());
+    }
+    if let Some(spec) = &scenario.spec {
+        system.install_injector(spec.clone(), seed);
+    }
+    if let Some(mem_spec) = &scenario.mem_spec {
+        system.install_mem_injector(mem_spec.clone(), seed.wrapping_add(0x6d65_6d66));
+    }
+    system.run(scenario.steps);
+    let report = classify(&system);
+    let dump = log.map(|log| {
+        log.record(TraceEvent {
+            step: system.machine.now(),
+            cpu: NO_CPU,
+            kind: TraceKind::ClassifyVerdict,
+            arg_a: Outcome::ALL
+                .iter()
+                .position(|o| *o == report.outcome)
+                .unwrap() as u64,
+            arg_b: 0,
+        });
+        certify_core::TraceDump::capture(&log, seed, &scenario.name, report.outcome)
+            .to_json()
+            .render()
+    });
+    let trial = TrialResult {
+        seed,
+        outcome: report.outcome,
+        injection_count: report.injections.len(),
+        mem_injection_count: report.mem_injections.iter().filter(|r| r.applied()).count(),
+        report,
+    };
+    (trial.clone(), csv_row(&trial), dump)
+}
+
+fn csv_row(trial: &certify_core::TrialResult) -> String {
+    let mut row = String::new();
+    certify_analysis::export::trial_to_csv_row(trial, &mut row);
+    row
+}
+
+/// Traced and untraced trials, alternating on one runner: the first
+/// finished trial teaches it `P`, the next of each kind saves a
+/// snapshot, and every later one is restored from it. Each must equal
+/// the public-call reference byte for byte.
+#[test]
+fn restored_trials_equal_from_scratch_systems_across_scenarios() {
+    let config = restore_trace();
+    for scenario in all_scenarios() {
+        let name = &scenario.name;
+        let runner = scenario.runner();
+        for i in 0..5u64 {
+            let seed = 0xD5_2022 + i;
+            let (want, want_row, want_dump) = reference_trial(&scenario, seed, None);
+            let (_, _, traced_dump) = reference_trial(&scenario, seed, Some(config.capacity));
+            let untraced = || runner.run_trial(seed);
+            let traced = || runner.run_trial_traced(seed, Some(&config));
+            let (plain, (traced_trial, dump)) = if i % 2 == 0 {
+                let plain = untraced();
+                (plain, traced())
+            } else {
+                let traced = traced();
+                (untraced(), traced)
+            };
+            assert_eq!(plain, want, "{name} seed {seed}: untraced trial");
+            assert_eq!(csv_row(&plain), want_row, "{name} seed {seed}: CSV row");
+            assert_eq!(traced_trial, want, "{name} seed {seed}: traced trial");
+            assert!(want_dump.is_none());
+            assert_eq!(
+                dump.map(|d| d.to_json().render()),
+                traced_dump,
+                "{name} seed {seed}: dump JSON"
+            );
+        }
+        let prefix = runner
+            .pristine_prefix()
+            .expect("a finished trial teaches P");
+        let public_p = run_system(&scenario, 1)
+            .seed_free_steps()
+            .unwrap_or(scenario.steps);
+        assert_eq!(prefix, public_p, "{name}: runner P vs public-call P");
+    }
+}
+
+/// The edge cases of `P`: golden runs never draw (`P = steps`, each
+/// trial is a copy plus `classify`), and E2's phase jitter draws at
+/// construction (`P = 0`, the mechanism is bypassed).
+#[test]
+fn pristine_prefix_bounds_hold_at_both_ends() {
+    let golden = Scenario::golden(1500);
+    let runner = golden.runner();
+    runner.run_trial(1);
+    assert_eq!(runner.pristine_prefix(), Some(1500));
+
+    let e2 = Scenario::e2_nonroot_high();
+    let runner = e2.runner();
+    assert_eq!(runner.pristine_prefix(), None, "nothing learned yet");
+    runner.run_trial(1);
+    assert_eq!(runner.pristine_prefix(), Some(0));
+}
+
+/// A collecting sink that renders rows to CSV and dumps to JSON.
+#[derive(Default)]
+struct RenderSink {
+    rows: Vec<(usize, String)>,
+    dumps: Vec<(usize, String)>,
+}
+
+impl certify_core::TrialSink for RenderSink {
+    fn accept(&mut self, seq: usize, trial: certify_core::TrialResult) {
+        self.rows.push((seq, csv_row(&trial)));
+    }
+
+    fn accept_dump(&mut self, seq: usize, dump: certify_core::TraceDump) {
+        self.dumps.push((seq, dump.to_json().render()));
+    }
+}
+
+/// The parallel engine at 1 and 4 workers hands the prefix snapshot
+/// between threads: every row and kept dump must still equal the
+/// public-call reference, traced and untraced.
+#[test]
+fn parallel_engine_restores_equal_from_scratch_at_1_and_4_workers() {
+    use certify_core::memfault::{MemFaultModel, MemTarget};
+    let config = restore_trace().with_policy(certify_core::DumpPolicy::anomalies());
+    let scenarios = [
+        Scenario::golden(1500),
+        Scenario::e2_nonroot_high(),
+        Scenario::e3_fig3(),
+        Scenario::e6_memory(MemFaultModel::SingleBitFlip, MemTarget::e6()),
+        Scenario::e7_mixed(),
+    ];
+    let trials = 10;
+    for scenario in scenarios {
+        let name = scenario.name.clone();
+        let mut rows = Vec::new();
+        let mut dumps = Vec::new();
+        for seq in 0..trials {
+            let seed = 0xD5_2022 + seq as u64;
+            let (trial, row, dump) = reference_trial(&scenario, seed, Some(config.capacity));
+            rows.push((seq, row));
+            if config.policy.wants(trial.outcome) {
+                dumps.push((seq, dump.expect("traced reference")));
+            }
+        }
+        let campaign = Campaign::new(scenario, trials, 0xD5_2022);
+        for workers in [1, 4] {
+            let mut sink = RenderSink::default();
+            campaign.run_parallel_streamed(workers, &mut sink);
+            assert_eq!(sink.rows, rows, "{name} x{workers}: untraced rows");
+            assert!(sink.dumps.is_empty());
+
+            let mut sink = RenderSink::default();
+            campaign
+                .clone()
+                .with_trace(config.clone())
+                .run_parallel_streamed(workers, &mut sink);
+            assert_eq!(sink.rows, rows, "{name} x{workers}: traced rows");
+            assert_eq!(sink.dumps, dumps, "{name} x{workers}: dump JSON");
+        }
+    }
+}
+
+/// E3's pristine prefix is one value for every seed, and it ends the
+/// step before the first injection: with steps counted from 1 (as
+/// `System::steps_run` counts them), a first fire attempt during step
+/// `s` leaves `P = s - 1` seed-free steps. E7 shares E3's register
+/// spec and agrees across its seeds too.
+#[test]
+fn e3_pristine_prefix_is_seed_independent_and_ends_before_the_first_fire() {
+    let e3 = Scenario::e3_fig3();
+    let mut prefixes = std::collections::BTreeSet::new();
+    for seed in 0..300u64 {
+        let system = run_system(&e3, seed);
+        let p = system.seed_free_steps().expect("every e3 trial fires");
+        let first = system.injection_log().unwrap().records()[0].step;
+        assert_eq!(p, first - 1, "seed {seed}: P vs first InjectionRecord.step");
+        prefixes.insert(p);
+    }
+    assert_eq!(prefixes.len(), 1, "e3 P varies with the seed: {prefixes:?}");
+    let runner = e3.runner();
+    runner.run_trial(7);
+    assert_eq!(runner.pristine_prefix(), prefixes.first().copied());
+
+    let e7 = Scenario::e7_mixed();
+    let e7_prefixes: std::collections::BTreeSet<_> = (0..20u64)
+        .map(|seed| run_system(&e7, seed).seed_free_steps())
+        .collect();
+    assert_eq!(e7_prefixes.len(), 1, "e7 P varies: {e7_prefixes:?}");
 }
