@@ -9,7 +9,6 @@
 
 use certify_core::campaign::CampaignResult;
 use certify_core::{CampaignStats, Outcome};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The paper's Figure 3 shares (read off the chart): correct ≈ 65 %,
@@ -21,7 +20,7 @@ pub const PAPER_FIG3_SHARES: [(Outcome, f64); 3] = [
 ];
 
 /// A regenerated Figure 3.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Figure3 {
     /// Scenario name.
     pub scenario: String,
@@ -34,7 +33,7 @@ pub struct Figure3 {
 impl Figure3 {
     /// Builds the figure data from online campaign statistics — no
     /// per-trial reports needed, so it composes with the streamed
-    /// engine (`Campaign::run_parallel_streamed`).
+    /// engine (`Campaign::execute`).
     pub fn from_stats(stats: &CampaignStats) -> Figure3 {
         let mut rows = Vec::new();
         for outcome in Outcome::ALL {

@@ -51,7 +51,8 @@ fn regenerate() {
 
     banner("E6b: mixed register+memory campaign (E7)");
     let mixed = Campaign::new(Scenario::e7_mixed(), TRIALS, BASE_SEED)
-        .run_parallel_streamed(8, &mut NullSink);
+        .execute(.., 8, &mut NullSink, None)
+        .0;
     println!("{mixed}");
     assert!(mixed.injected_trials > 0);
     assert!(mixed.mem_injected_trials > 0);

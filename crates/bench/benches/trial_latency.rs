@@ -37,9 +37,9 @@
 //! trial_latency` (add `-- --fast` for the smoke configuration).
 
 use certify_bench::{json_number, resolve_baseline_path as resolve};
-use certify_core::campaign::Scenario;
+use certify_core::campaign::{Probe, Scenario, TrialResult, TrialRunner};
 use certify_core::{MemFaultModel, MemTarget, TraceConfig};
-use certify_obs::{Histogram, MonotonicClock};
+use certify_obs::{Histogram, MonotonicClock, PhaseSample};
 use std::time::Instant;
 
 /// The per-trial budget the ROADMAP targets, in microseconds.
@@ -141,6 +141,19 @@ fn measure_distribution(scenario: Scenario, trials: usize) -> Histogram {
     histogram
 }
 
+/// One trial through a clock probe, as an observed campaign runs it.
+fn observed_trial(
+    runner: &TrialRunner,
+    seed: u64,
+    clock: &MonotonicClock,
+) -> (TrialResult, Option<PhaseSample>) {
+    let mut probe = Probe {
+        clock: Some(clock),
+        ..Probe::default()
+    };
+    (runner.run(seed, &mut probe), probe.phases)
+}
+
 /// Best-round means of plain vs telemetry-observed E3 trials, with
 /// the two variants interleaved round by round so slow drift on
 /// shared hardware hits both equally.
@@ -149,7 +162,7 @@ fn measure_overhead(rounds: usize, trials: usize) -> (f64, f64) {
     let clock = MonotonicClock::new();
     for seed in 0..(trials / 4).max(8) as u64 {
         std::hint::black_box(runner.run_trial(seed));
-        std::hint::black_box(runner.run_trial_observed(seed, &clock));
+        std::hint::black_box(observed_trial(&runner, seed, &clock));
     }
     let mut plain_best = f64::INFINITY;
     let mut observed_best = f64::INFINITY;
@@ -162,7 +175,7 @@ fn measure_overhead(rounds: usize, trials: usize) -> (f64, f64) {
         plain_best = plain_best.min(start.elapsed().as_secs_f64() * 1e6 / trials as f64);
         let start = Instant::now();
         for i in 0..trials as u64 {
-            std::hint::black_box(runner.run_trial_observed(base + i, &clock));
+            std::hint::black_box(observed_trial(&runner, base + i, &clock));
         }
         observed_best = observed_best.min(start.elapsed().as_secs_f64() * 1e6 / trials as f64);
     }

@@ -6,13 +6,20 @@
 //! the data behind Figure 3. Trials are independent systems, so they
 //! can run on parallel threads (cf. the "No PAIN, no gain?" parallel
 //! fault injection study the paper cites [10]) — and because the
-//! campaign's value is the aggregate, results *stream*: the engine
-//! delivers each [`TrialResult`] to a [`TrialSink`] in seed order and
+//! campaign's value is the aggregate, results *stream*.
+//!
+//! One engine runs every campaign: [`Campaign::execute`] delivers each
+//! [`TrialResult`] of a trial range to a [`TrialSink`] in seed order and
 //! folds it into [`CampaignStats`] online, holding at most `workers`
-//! undelivered reports however large the campaign
-//! ([`Campaign::run_parallel_streamed`]). The buffered
-//! [`Campaign::run`]/[`Campaign::run_parallel`] are thin collecting
-//! sinks over the same engine.
+//! undelivered reports however large the campaign. The calling thread
+//! is worker 0, so one worker runs the range inline, with no thread.
+//! The other run methods are one-line wrappers over it, and the shard
+//! worker calls it for its range.
+//!
+//! One path runs every trial: [`TrialRunner::run`] takes a [`Probe`]
+//! that may carry a clock (phase timings out) and a [`TraceConfig`]
+//! (a flight-recorder dump out). The two compose, an empty probe
+//! observes nothing, and no observation changes a result.
 //!
 //! **The pristine-prefix invariant.** A trial's seed reaches the system
 //! only through its injectors' RNGs, so until an injector first draws —
@@ -37,9 +44,9 @@ use crate::trace::{trace_event_to_json, TraceConfig, TraceDump};
 use certify_guest_linux::MgmtScript;
 use certify_obs::trace::{TraceEvent, TraceKind, TraceLog, NO_CPU};
 use certify_obs::{Clock, EngineMetrics, PhaseSample, ProgressTracker};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::{Bound, RangeBounds};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
@@ -391,115 +398,135 @@ impl TrialRunner {
         self.prefix.steps.get().copied()
     }
 
-    /// Runs one seeded trial.
-    pub fn run_trial(&self, seed: u64) -> TrialResult {
-        let mut system = self.start(seed, None);
-        self.finish(&mut system);
-        Self::result(seed, classify(&system))
-    }
-
-    /// Runs one seeded trial with phase timing: the same steps and the
-    /// same result as [`TrialRunner::run_trial`] (pinned by
-    /// `tests/hotpath_equivalence.rs`), plus a [`PhaseSample`] of how
-    /// long boot, steady state, the injection-armed phase and
-    /// classification took on `clock`.
+    /// Runs one seeded trial, observing what `probe` asks for — the one
+    /// path every trial of every engine takes.
     ///
-    /// The phase split leans on `System::run` being a plain
-    /// incremental step loop: `run(a); run(b)` is `run(a + b)`, so
-    /// timing the run in two slices cannot perturb the trial. A trial
-    /// restored at the pristine prefix counts the copy as boot and
-    /// starts steady state at step `P`.
-    pub fn run_trial_observed(&self, seed: u64, clock: &dyn Clock) -> (TrialResult, PhaseSample) {
-        let t0 = clock.now_ns();
-        let mut system = self.start(seed, None);
-        let t1 = clock.now_ns();
-        let start = system.steps_run();
-        system.run(self.injection_open_step().max(start) - start);
-        let t2 = clock.now_ns();
-        self.finish(&mut system);
-        let t3 = clock.now_ns();
-        let trial = Self::result(seed, classify(&system));
-        let t4 = clock.now_ns();
-        let sample = PhaseSample {
+    /// With an empty probe the trial runs and nothing else does: no
+    /// clock read, no recorder anywhere in the stack. The probe's
+    /// observations compose, and none changes the result, CSV row or
+    /// dump (pinned by `tests/hotpath_equivalence.rs`):
+    ///
+    /// - A clock times the trial's phases into [`Probe::phases`]. The
+    ///   split leans on `System::run` being a plain incremental step
+    ///   loop: `run(a); run(b)` is `run(a + b)`, so timing the run in
+    ///   two slices cannot perturb the trial. A trial restored at the
+    ///   pristine prefix counts the copy as boot and starts steady
+    ///   state at step `P`.
+    /// - A [`TraceConfig`] attaches a flight recorder: every component
+    ///   records causal events into one bounded ring, a final
+    ///   [`TraceKind::ClassifyVerdict`] event stamps the outcome, and
+    ///   the ring is captured into [`Probe::dump`] for *every* traced
+    ///   trial; a campaign's [`crate::DumpPolicy`] decides which dumps
+    ///   reach the sink. With `policy.on_panic` set, a panic inside the
+    ///   trial prints the ring as JSON to stderr before the unwind
+    ///   resumes — the trial that kills a worker process explains
+    ///   itself on the way down.
+    pub fn run(&self, seed: u64, probe: &mut Probe<'_>) -> TrialResult {
+        let clock = probe.clock;
+        let now = || clock.map_or(0, |clock| clock.now_ns());
+        let t0 = now();
+        let mut system = self.start(seed, probe.trace.map(|config| config.capacity));
+        let t1 = now();
+        if clock.is_some() {
+            let start = system.steps_run();
+            system.run(self.injection_open_step().max(start) - start);
+        }
+        let t2 = now();
+        let finish = |system: &mut System| {
+            self.finish(system);
+            let t3 = now();
+            (classify(system), t3)
+        };
+        let (report, t3) = match probe.trace {
+            Some(config) if config.policy.on_panic => {
+                let log = system
+                    .tracer()
+                    .expect("a traced trial starts with a recorder")
+                    .clone();
+                catch_unwind(AssertUnwindSafe(|| finish(&mut system))).unwrap_or_else(|payload| {
+                    self.print_ring(seed, &log);
+                    resume_unwind(payload)
+                })
+            }
+            _ => finish(&mut system),
+        };
+        let outcome = report.outcome;
+        let trial = Self::result(seed, report);
+        let t4 = now();
+        probe.phases = clock.map(|_| PhaseSample {
             boot_ns: t1.saturating_sub(t0),
             steady_ns: t2.saturating_sub(t1),
             injection_ns: t3.saturating_sub(t2),
             classify_ns: t4.saturating_sub(t3),
-        };
-        (trial, sample)
+        });
+        probe.dump = probe.trace.and(system.tracer()).map(|log| {
+            log.record(TraceEvent {
+                step: system.machine.now(),
+                cpu: NO_CPU,
+                kind: TraceKind::ClassifyVerdict,
+                arg_a: Outcome::ALL.iter().position(|o| *o == outcome).unwrap_or(0) as u64,
+                arg_b: 0,
+            });
+            TraceDump::capture(log, seed, &self.name, outcome)
+        });
+        trial
     }
 
-    /// Runs one seeded trial with a flight recorder attached.
-    ///
-    /// `config: None` is exactly [`TrialRunner::run_trial`] — the same
-    /// code path, no recorder anywhere in the stack (pinned by
-    /// `tests/hotpath_equivalence.rs`). With a config, every component
-    /// records causal events into one bounded ring, a final
-    /// [`certify_obs::trace::TraceKind::ClassifyVerdict`] event stamps
-    /// the outcome, and the ring is captured as a [`TraceDump`] —
-    /// returned for *every* traced trial; the campaign's
-    /// [`crate::DumpPolicy`] decides which dumps reach the sink.
-    ///
-    /// With `policy.on_panic` set, a panic inside the trial prints the
-    /// ring as JSON to stderr before the unwind resumes — the trial
-    /// that kills a worker process explains itself on the way down.
+    /// Prints a panicking traced trial's ring as JSON to stderr.
+    fn print_ring(&self, seed: u64, log: &TraceLog) {
+        let events = log.snapshot();
+        let doc = Json::obj([
+            ("seed", Json::U64(seed)),
+            ("scenario", Json::str(self.name.to_string())),
+            ("panicked", Json::Bool(true)),
+            ("total", Json::U64(log.total())),
+            ("dropped", Json::U64(log.dropped())),
+            (
+                "events",
+                Json::Arr(events.iter().map(trace_event_to_json).collect()),
+            ),
+        ]);
+        eprintln!("{}", doc.render());
+    }
+
+    /// Runs one seeded trial: [`TrialRunner::run`] with an empty probe.
+    pub fn run_trial(&self, seed: u64) -> TrialResult {
+        self.run(seed, &mut Probe::default())
+    }
+
+    /// Runs one seeded trial with a flight recorder when `config` is
+    /// set: [`TrialRunner::run`] with a trace probe. `config: None` is
+    /// exactly [`TrialRunner::run_trial`].
     pub fn run_trial_traced(
         &self,
         seed: u64,
         config: Option<&TraceConfig>,
     ) -> (TrialResult, Option<TraceDump>) {
-        let Some(config) = config else {
-            return (self.run_trial(seed), None);
+        let mut probe = Probe {
+            trace: config,
+            ..Probe::default()
         };
-        let mut system = self.start(seed, Some(config.capacity));
-        let log = system
-            .tracer()
-            .expect("a traced trial starts with a recorder")
-            .clone();
-        let run = |system: &mut System| {
-            self.finish(system);
-            classify(system)
-        };
-        let report = if config.policy.on_panic {
-            match catch_unwind(AssertUnwindSafe(|| run(&mut system))) {
-                Ok(report) => report,
-                Err(payload) => {
-                    let events = log.snapshot();
-                    let doc = Json::obj([
-                        ("seed", Json::U64(seed)),
-                        ("scenario", Json::str(self.name.to_string())),
-                        ("panicked", Json::Bool(true)),
-                        ("total", Json::U64(log.total())),
-                        ("dropped", Json::U64(log.dropped())),
-                        (
-                            "events",
-                            Json::Arr(events.iter().map(trace_event_to_json).collect()),
-                        ),
-                    ]);
-                    eprintln!("{}", doc.render());
-                    resume_unwind(payload);
-                }
-            }
-        } else {
-            run(&mut system)
-        };
-        log.record(TraceEvent {
-            step: system.machine.now(),
-            cpu: NO_CPU,
-            kind: TraceKind::ClassifyVerdict,
-            arg_a: Outcome::ALL
-                .iter()
-                .position(|o| *o == report.outcome)
-                .unwrap_or(0) as u64,
-            arg_b: 0,
-        });
-        let dump = TraceDump::capture(&log, seed, &self.name, report.outcome);
-        (Self::result(seed, report), Some(dump))
+        (self.run(seed, &mut probe), probe.dump)
     }
 }
 
+/// What one [`TrialRunner::run`] observes beyond the trial's result:
+/// the inputs pick the observations, the outputs carry them back, and
+/// the two kinds compose. `Probe::default()` observes nothing.
+#[derive(Default)]
+pub struct Probe<'a> {
+    /// In: the clock to time the trial's phases on.
+    pub clock: Option<&'a dyn Clock>,
+    /// In: the flight-recorder configuration to trace the trial with.
+    pub trace: Option<&'a TraceConfig>,
+    /// Out: the trial's phase timings, set when `clock` is.
+    pub phases: Option<PhaseSample>,
+    /// Out: the trial's flight-recorder dump, set when `trace` is.
+    pub dump: Option<TraceDump>,
+}
+
 /// One trial's result.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TrialResult {
     /// The trial's RNG seed.
     pub seed: u64,
@@ -575,10 +602,9 @@ impl Campaign {
     ///
     /// Tracing never changes trial results, sink rows or stats — the
     /// observability law, pinned by `tests/hotpath_equivalence.rs` and
-    /// `tests/determinism.rs`. On observed runs
-    /// ([`Campaign::run_parallel_streamed_observed`]) tracing takes
-    /// precedence over per-trial phase sampling: traced trials record
-    /// causal events instead of phase timings.
+    /// `tests/determinism.rs` — and it composes with telemetry: an
+    /// observed traced run records both causal events and phase
+    /// timings.
     pub fn with_trace(mut self, config: TraceConfig) -> Campaign {
         self.trace = Some(config);
         self
@@ -622,86 +648,259 @@ impl Campaign {
         self.base_seed
     }
 
-    /// Runs all trials sequentially, buffering every report.
-    /// A thin [`CollectSink`] over [`Campaign::run_streamed`].
+    /// Runs all trials on the calling thread, buffering every report:
+    /// a [`CollectSink`] over [`Campaign::execute`].
     pub fn run(&self) -> CampaignResult {
-        let mut sink = CollectSink::new();
-        self.run_streamed(&mut sink);
-        CampaignResult {
-            scenario_name: self.scenario.name.clone(),
-            trials: sink.into_trials(),
-        }
+        self.run_parallel(1)
     }
 
     /// Runs all trials across `workers` threads, buffering every
-    /// report. A thin [`CollectSink`] over
-    /// [`Campaign::run_parallel_streamed`]; the returned trials are in
-    /// seed order and bit-identical to a sequential [`Campaign::run`],
-    /// whatever the worker count or OS scheduling.
+    /// report: a [`CollectSink`] over [`Campaign::execute`]. The
+    /// returned trials are in seed order and bit-identical to
+    /// [`Campaign::run`], whatever the worker count or OS scheduling.
     pub fn run_parallel(&self, workers: usize) -> CampaignResult {
         let mut sink = CollectSink::new();
-        self.run_parallel_streamed(workers, &mut sink);
+        self.execute(.., workers, &mut sink, None);
         CampaignResult {
             scenario_name: self.scenario.name.clone(),
             trials: sink.into_trials(),
         }
     }
 
-    /// Runs all trials sequentially, delivering each report to `sink`
-    /// as it completes (seed order, one resident report) and folding
-    /// it into the returned [`CampaignStats`].
+    /// Runs all trials on the calling thread, streaming them to `sink`:
+    /// [`Campaign::execute`] with one worker.
     pub fn run_streamed<S: TrialSink + ?Sized>(&self, sink: &mut S) -> CampaignStats {
-        self.run_range_streamed(0, self.trials, sink)
+        self.execute(.., 1, sink, None).0
     }
 
-    /// Runs the `len` trials starting at trial index `start_trial`
-    /// sequentially, delivering each report to `sink` under its
-    /// *global* sequence number and folding it into the returned
-    /// [`CampaignStats`].
+    /// Runs all trials across `workers` threads, streaming them to
+    /// `sink`: [`Campaign::execute`] with its reorder high-water mark.
+    pub fn run_parallel_streamed_instrumented<S: TrialSink + ?Sized>(
+        &self,
+        workers: usize,
+        sink: &mut S,
+    ) -> (CampaignStats, usize) {
+        self.execute(.., workers, sink, None)
+    }
+
+    /// Runs the trials of `range` (trial indices; `..` is the whole
+    /// campaign) across `workers` threads, delivering each report to
+    /// `sink` under its global sequence number, in seed order, and
+    /// folding it into the returned [`CampaignStats`]. The second
+    /// element is the high-water mark of completed-but-undelivered
+    /// reports, at most `workers` (clamped to the range's length).
     ///
-    /// Trial `i` of a campaign is self-contained — seeded
-    /// `base_seed + i`, independent of every other trial — so any
-    /// sub-range runs exactly the trials the full campaign would:
-    /// concatenating the deliveries of a partition of `0..trials`
-    /// reproduces [`Campaign::run_streamed`] bit for bit, and merging
-    /// the per-range stats (in any order) with [`CampaignStats::merge`]
-    /// reproduces the full-run stats. This is the shard execution
-    /// primitive: a `certify-shard` worker runs one range and streams
-    /// the rows back.
+    /// This is the one engine behind every run method and the shard
+    /// worker. The calling thread is worker 0 and spawns `workers − 1`
+    /// helpers, so `workers = 1` runs every trial inline on the caller,
+    /// with no thread. Workers claim trial indices in order, but a
+    /// trial may only *start* once it is fewer than `workers` past the
+    /// delivery front — a window that, with the reorder buffer the
+    /// caller drains in seed order, holds at most `workers` undelivered
+    /// [`TrialResult`]s however large the campaign. The caller claims a
+    /// trial only when the next one to deliver is not yet buffered.
+    ///
+    /// Trial `i` is seeded `base_seed + i` and independent of every
+    /// other trial, so deliveries and stats do not depend on `workers`
+    /// or OS scheduling, concatenating the deliveries of a partition of
+    /// the campaign reproduces the full run, and merging the per-range
+    /// stats (in any order) with [`CampaignStats::merge`] reproduces
+    /// the full-run stats.
+    ///
+    /// With `telemetry`, every trial's phase timings fold into
+    /// `telemetry.metrics` and the caller emits a progress snapshot to
+    /// `telemetry.progress` every `progress_every` deliveries plus a
+    /// final one. Telemetry is write-only: deliveries and stats are
+    /// bit-identical to an unobserved run, whatever clock is plugged in.
     ///
     /// # Panics
     ///
-    /// Panics if `start_trial + len` overflows or exceeds the
-    /// campaign's trial count.
-    pub fn run_range_streamed<S: TrialSink + ?Sized>(
+    /// Panics if the range exceeds the campaign's trial count, and
+    /// re-raises a panic from a trial or the sink once every thread
+    /// has stopped.
+    pub fn execute<S: TrialSink + ?Sized>(
         &self,
-        start_trial: usize,
-        len: usize,
+        range: impl RangeBounds<usize>,
+        workers: usize,
         sink: &mut S,
-    ) -> CampaignStats {
-        let end = start_trial.checked_add(len).expect("trial range overflows");
+        mut telemetry: Option<&mut EngineTelemetry<'_>>,
+    ) -> (CampaignStats, usize) {
+        let first = match range.start_bound() {
+            Bound::Included(&i) => i,
+            Bound::Excluded(&i) => i.checked_add(1).expect("trial range overflows"),
+            Bound::Unbounded => 0,
+        };
+        let end = match range.end_bound() {
+            Bound::Included(&i) => i.checked_add(1).expect("trial range overflows"),
+            Bound::Excluded(&i) => i,
+            Bound::Unbounded => self.trials,
+        };
         assert!(
-            end <= self.trials,
-            "trial range [{start_trial}, {end}) exceeds campaign size {}",
+            first <= end && end <= self.trials,
+            "trial range [{first}, {end}) exceeds campaign size {}",
             self.trials
         );
+        let len = end - first;
+        let workers = workers.max(1).min(len.max(1));
+        // Copy the clock reference out (it is `&'a dyn Clock`, Copy) so
+        // helpers can read it without borrowing the bundle the caller
+        // mutates.
+        let clock = telemetry.as_ref().map(|t| t.clock);
         let runner = self.scenario.runner();
+        // Runs trial `first + i`; observed runs fold its phase timings
+        // into the worker's own metrics, merged once at exit, so the
+        // trial hot path takes no lock for them.
+        let run = |i: usize, local: &mut EngineMetrics| {
+            let mut probe = Probe {
+                clock: clock.map(|clock| clock as &dyn Clock),
+                trace: self.trace.as_ref(),
+                ..Probe::default()
+            };
+            let trial = runner.run(self.base_seed + (first + i) as u64, &mut probe);
+            if let Some(sample) = probe.phases {
+                local.trials.inc();
+                local.phases.record(&sample);
+            }
+            (trial, probe.dump)
+        };
+        let folded = Mutex::new(EngineMetrics::default());
         let mut stats = CampaignStats::new(self.scenario.name.clone());
-        #[cfg(debug_assertions)]
-        let prediction = self.skip_prediction();
-        for seq in start_trial..end {
-            let (trial, dump) =
-                runner.run_trial_traced(self.base_seed + seq as u64, self.trace.as_ref());
+        let shared = Mutex::new(Reorder {
+            next: 0,
+            delivered: 0,
+            buffer: BTreeMap::new(),
+            undelivered: 0,
+            high_water: 0,
+            aborted: false,
+        });
+        // The caller waits on `ready` for the next in-order report;
+        // helpers wait on `space` for the delivery window to open.
+        let ready = Condvar::new();
+        let space = Condvar::new();
+
+        std::thread::scope(|scope| {
+            for _ in 1..workers {
+                let (run, shared, ready, space, folded) = (&run, &shared, &ready, &space, &folded);
+                scope.spawn(move || {
+                    // On panic (poisoned lock or unwind mid-trial), wake
+                    // everyone so the scope can tear down instead of
+                    // deadlocking.
+                    let _guard = AbortGuard {
+                        shared,
+                        ready,
+                        space,
+                    };
+                    let mut local = EngineMetrics::default();
+                    loop {
+                        let i = {
+                            let mut state = shared.lock().expect("campaign engine lock");
+                            if state.aborted || state.next >= len {
+                                break;
+                            }
+                            let i = state.next;
+                            state.next += 1;
+                            while !state.aborted && i >= state.delivered + workers {
+                                state = space.wait(state).expect("campaign engine lock");
+                            }
+                            if state.aborted {
+                                break;
+                            }
+                            i
+                        };
+                        let done = run(i, &mut local);
+                        let mut state = shared.lock().expect("campaign engine lock");
+                        state.undelivered += 1;
+                        state.high_water = state.high_water.max(state.undelivered);
+                        state.buffer.insert(i, done);
+                        drop(state);
+                        ready.notify_all();
+                    }
+                    folded
+                        .lock()
+                        .expect("campaign telemetry lock")
+                        .merge(&local);
+                });
+            }
+
+            // The caller is worker 0 and the only consumer: deliver the
+            // next trial in seed order once it is buffered, run a trial
+            // itself while the window allows, and wait otherwise.
+            let _guard = AbortGuard {
+                shared: &shared,
+                ready: &ready,
+                space: &space,
+            };
+            let tracker = clock.map(|clock| ProgressTracker::new(clock, None, len as u64));
             #[cfg(debug_assertions)]
-            self.assert_trial_invariants(prediction.as_ref(), &trial);
-            self.deliver(seq, trial, dump, &mut stats, sink);
+            let prediction = self.skip_prediction();
+            let mut local = EngineMetrics::default();
+            let mut state = shared.lock().expect("campaign engine lock");
+            while state.delivered < len {
+                assert!(!state.aborted, "campaign worker panicked");
+                let i = state.delivered;
+                let (trial, dump) = if let Some(done) = state.buffer.remove(&i) {
+                    done
+                } else if state.next < len && state.next < i + workers {
+                    let mine = state.next;
+                    state.next += 1;
+                    drop(state);
+                    let done = run(mine, &mut local);
+                    state = shared.lock().expect("campaign engine lock");
+                    state.undelivered += 1;
+                    state.high_water = state.high_water.max(state.undelivered);
+                    if mine != i {
+                        state.buffer.insert(mine, done);
+                        continue;
+                    }
+                    done
+                } else {
+                    state = ready.wait(state).expect("campaign engine lock");
+                    continue;
+                };
+                drop(state);
+                #[cfg(debug_assertions)]
+                self.assert_trial_invariants(prediction.as_ref(), &trial);
+                self.deliver(first + i, trial, dump, &mut stats, sink);
+                if let (Some(telemetry), Some(tracker)) = (telemetry.as_deref_mut(), &tracker) {
+                    let done = i + 1;
+                    let due = done.is_multiple_of(telemetry.progress_every);
+                    if due || done == len {
+                        let snapshot =
+                            tracker.snapshot(done as u64, outcome_rows(&stats.distribution));
+                        telemetry.progress.on_progress(&snapshot);
+                    }
+                }
+                state = shared.lock().expect("campaign engine lock");
+                state.undelivered -= 1;
+                state.delivered += 1;
+                space.notify_all();
+            }
+            drop(state);
+            folded
+                .lock()
+                .expect("campaign telemetry lock")
+                .merge(&local);
+        });
+
+        let high_water = shared
+            .into_inner()
+            .expect("campaign engine lock")
+            .high_water;
+        if let Some(telemetry) = telemetry {
+            telemetry
+                .metrics
+                .merge(&folded.into_inner().expect("campaign telemetry lock"));
+            telemetry.metrics.reorder_residency.set(high_water as u64);
+            telemetry.metrics.sink_rows.add(len as u64);
+            if let Some(bytes) = sink.bytes_written() {
+                telemetry.metrics.sink_bytes.add(bytes);
+            }
         }
-        stats
+        (stats, high_water)
     }
 
-    /// Delivers one finished trial the way every engine does: folds it
-    /// into `stats`, hands the row to `sink`, then the dump if the
-    /// policy keeps it.
+    /// Delivers one finished trial: folds it into `stats`, hands the
+    /// row to `sink`, then the dump if the policy keeps it.
     fn deliver<S: TrialSink + ?Sized>(
         &self,
         seq: usize,
@@ -727,9 +926,9 @@ impl Campaign {
             .map(MemorySpec::skip_prediction)
     }
 
-    /// The debug-build invariants every engine asserts on each trial
-    /// before delivering it: skips the static analysis predicted, and
-    /// conformance to the attached certificate.
+    /// The debug-build invariants asserted on each trial before it is
+    /// delivered: skips the static analysis predicted, and conformance
+    /// to the attached certificate.
     #[cfg(debug_assertions)]
     fn assert_trial_invariants(
         &self,
@@ -738,220 +937,6 @@ impl Campaign {
     ) {
         assert_skips_predicted(prediction, trial);
         assert_certificate_conformance(self.certificate.as_deref(), trial);
-    }
-
-    /// Runs all trials across `workers` threads, delivering reports to
-    /// `sink` in seed order as they complete and folding them into the
-    /// returned [`CampaignStats`].
-    ///
-    /// Workers claim trial indices in order from a shared queue, but a
-    /// worker may only *start* trial `i` once `i < delivered + workers`
-    /// — a delivery window that, combined with the reorder buffer the
-    /// consumer drains in seed order, bounds the campaign's resident
-    /// state: at most `workers` completed-but-undelivered
-    /// [`TrialResult`]s exist at any time, however many trials the
-    /// campaign has. Every trial is seeded `base_seed + i` exactly as
-    /// in [`Campaign::run`], so sink deliveries and stats are
-    /// bit-identical to a sequential run.
-    pub fn run_parallel_streamed<S: TrialSink + ?Sized>(
-        &self,
-        workers: usize,
-        sink: &mut S,
-    ) -> CampaignStats {
-        self.run_parallel_streamed_engine(workers, sink, None).0
-    }
-
-    /// [`Campaign::run_parallel_streamed`] plus engine telemetry: the
-    /// second element is the high-water mark of
-    /// completed-but-undelivered [`TrialResult`]s, guaranteed to be at
-    /// most `workers` (clamped to the trial count).
-    pub fn run_parallel_streamed_instrumented<S: TrialSink + ?Sized>(
-        &self,
-        workers: usize,
-        sink: &mut S,
-    ) -> (CampaignStats, usize) {
-        self.run_parallel_streamed_engine(workers, sink, None)
-    }
-
-    /// [`Campaign::run_parallel_streamed`] with full observability:
-    /// per-trial phase timings fold into `telemetry.metrics` and the
-    /// consumer emits a progress snapshot to `telemetry.progress`
-    /// every `progress_every` deliveries (plus a final one).
-    ///
-    /// Telemetry is write-only for the engine — sink deliveries and
-    /// the returned [`CampaignStats`] are bit-identical to an
-    /// unobserved run of the same seeds, whatever clock is plugged in.
-    pub fn run_parallel_streamed_observed<S: TrialSink + ?Sized>(
-        &self,
-        workers: usize,
-        sink: &mut S,
-        telemetry: &mut EngineTelemetry<'_>,
-    ) -> CampaignStats {
-        self.run_parallel_streamed_engine(workers, sink, Some(telemetry))
-            .0
-    }
-
-    /// The streamed parallel engine behind all three public runners;
-    /// `telemetry: None` compiles the observability paths down to
-    /// no-ops.
-    fn run_parallel_streamed_engine<S: TrialSink + ?Sized>(
-        &self,
-        workers: usize,
-        sink: &mut S,
-        mut telemetry: Option<&mut EngineTelemetry<'_>>,
-    ) -> (CampaignStats, usize) {
-        // Copy the clock reference out (it is `&'a dyn Clock`, Copy)
-        // so workers can read it without borrowing the bundle the
-        // consumer mutates.
-        let clock = telemetry.as_ref().map(|t| t.clock);
-        let folded = Mutex::new(EngineMetrics::default());
-        let workers = workers.max(1).min(self.trials.max(1));
-        let runner = self.scenario.runner();
-        let trials = self.trials;
-        let base_seed = self.base_seed;
-        let trace = self.trace.as_ref();
-        let mut stats = CampaignStats::new(self.scenario.name.clone());
-
-        let shared = Mutex::new(Reorder {
-            next: 0,
-            delivered: 0,
-            buffer: BTreeMap::new(),
-            undelivered: 0,
-            high_water: 0,
-            aborted: false,
-        });
-        // Consumer waits on `ready` for the next in-order report;
-        // workers wait on `space` for the delivery window to open.
-        let ready = Condvar::new();
-        let space = Condvar::new();
-
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let (runner, shared, ready, space, folded) =
-                    (&runner, &shared, &ready, &space, &folded);
-                scope.spawn(move || {
-                    // On panic (poisoned lock or unwind mid-trial),
-                    // wake everyone so the scope can tear down instead
-                    // of deadlocking.
-                    let _guard = AbortGuard {
-                        shared,
-                        ready,
-                        space,
-                    };
-                    // Observed runs fold phase timings thread-locally
-                    // and merge once at exit — no locking on the trial
-                    // hot path.
-                    let mut local = clock.map(|_| EngineMetrics::default());
-                    loop {
-                        let seq = {
-                            let mut state = shared.lock().expect("campaign engine lock");
-                            if state.aborted || state.next >= trials {
-                                break;
-                            }
-                            let seq = state.next;
-                            state.next += 1;
-                            // Delivery window: starting this trial must
-                            // not be able to push the undelivered count
-                            // past `workers`.
-                            while !state.aborted && seq >= state.delivered + workers {
-                                state = space.wait(state).expect("campaign engine lock");
-                            }
-                            if state.aborted {
-                                break;
-                            }
-                            seq
-                        };
-                        // Traced trials record causal events instead
-                        // of phase timings (tracing wins when both are
-                        // configured; results are identical either
-                        // way).
-                        let (trial, dump) = if trace.is_some() {
-                            runner.run_trial_traced(base_seed + seq as u64, trace)
-                        } else {
-                            let trial = match (clock, local.as_mut()) {
-                                (Some(clock), Some(local)) => {
-                                    let (trial, sample) =
-                                        runner.run_trial_observed(base_seed + seq as u64, clock);
-                                    local.trials.inc();
-                                    local.phases.record(&sample);
-                                    trial
-                                }
-                                _ => runner.run_trial(base_seed + seq as u64),
-                            };
-                            (trial, None)
-                        };
-                        let mut state = shared.lock().expect("campaign engine lock");
-                        state.undelivered += 1;
-                        state.high_water = state.high_water.max(state.undelivered);
-                        state.buffer.insert(seq, (trial, dump));
-                        drop(state);
-                        ready.notify_all();
-                    }
-                    if let Some(local) = local {
-                        folded
-                            .lock()
-                            .expect("campaign telemetry lock")
-                            .merge(&local);
-                    }
-                });
-            }
-
-            // The caller's thread is the consumer: drain the reorder
-            // buffer in seed order, fold, deliver, open the window.
-            let _guard = AbortGuard {
-                shared: &shared,
-                ready: &ready,
-                space: &space,
-            };
-            let tracker = clock.map(|clock| ProgressTracker::new(clock, None, trials as u64));
-            #[cfg(debug_assertions)]
-            let prediction = self.skip_prediction();
-            for seq in 0..trials {
-                let (trial, dump) = {
-                    let mut state = shared.lock().expect("campaign engine lock");
-                    loop {
-                        if let Some(trial) = state.buffer.remove(&seq) {
-                            break trial;
-                        }
-                        assert!(!state.aborted, "campaign worker panicked");
-                        state = ready.wait(state).expect("campaign engine lock");
-                    }
-                };
-                #[cfg(debug_assertions)]
-                self.assert_trial_invariants(prediction.as_ref(), &trial);
-                self.deliver(seq, trial, dump, &mut stats, sink);
-                let mut state = shared.lock().expect("campaign engine lock");
-                state.undelivered -= 1;
-                state.delivered += 1;
-                drop(state);
-                space.notify_all();
-                if let (Some(telemetry), Some(tracker)) = (telemetry.as_deref_mut(), &tracker) {
-                    let done = seq + 1;
-                    let due = telemetry.progress_every > 0 && done % telemetry.progress_every == 0;
-                    if due || done == trials {
-                        let snapshot =
-                            tracker.snapshot(done as u64, outcome_rows(&stats.distribution));
-                        telemetry.progress.on_progress(&snapshot);
-                    }
-                }
-            }
-        });
-
-        let high_water = shared
-            .into_inner()
-            .expect("campaign engine lock")
-            .high_water;
-        if let Some(telemetry) = telemetry {
-            telemetry
-                .metrics
-                .merge(&folded.into_inner().expect("campaign telemetry lock"));
-            telemetry.metrics.reorder_residency.set(high_water as u64);
-            telemetry.metrics.sink_rows.add(trials as u64);
-            if let Some(bytes) = sink.bytes_written() {
-                telemetry.metrics.sink_bytes.add(bytes);
-            }
-        }
-        (stats, high_water)
     }
 }
 
@@ -998,8 +983,9 @@ fn assert_certificate_conformance(certificate: Option<&ScenarioCertificate>, tri
     );
 }
 
-/// Shared state of the streamed parallel engine: an in-order index
-/// queue plus the reorder buffer the consumer drains in seed order.
+/// Shared state of [`Campaign::execute`], in trial indices relative to
+/// the range: an in-order index queue plus the reorder buffer the
+/// caller drains in seed order.
 struct Reorder {
     /// Next trial index to hand to a worker.
     next: usize,
@@ -1009,7 +995,7 @@ struct Reorder {
     /// their turn at the sink.
     buffer: BTreeMap<usize, (TrialResult, Option<TraceDump>)>,
     /// Completed-but-undelivered reports (buffer plus the one the
-    /// consumer is currently handing to the sink).
+    /// caller is currently handing to the sink).
     undelivered: usize,
     /// High-water mark of `undelivered`.
     high_water: usize,
@@ -1039,7 +1025,7 @@ impl Drop for AbortGuard<'_> {
 }
 
 /// Aggregated campaign outcomes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CampaignResult {
     /// The scenario that was run.
     pub scenario_name: String,
@@ -1202,29 +1188,82 @@ mod tests {
 
     #[test]
     fn range_runs_concatenate_to_the_full_run() {
+        use certify_obs::{CollectObserver, ManualClock};
+
         let campaign = Campaign::new(Scenario::e1_root_high(), 5, 30);
         let mut full = Vec::new();
         let full_stats = campaign.run_streamed(&mut |seq: usize, t: TrialResult| {
             full.push((seq, t));
         });
-        let mut pieces = Vec::new();
-        let mut merged = CampaignStats::new(campaign.scenario().name.clone());
-        for (start, len) in [(0, 2), (2, 2), (4, 1)] {
-            let stats =
-                campaign.run_range_streamed(start, len, &mut |seq: usize, t: TrialResult| {
-                    pieces.push((seq, t));
-                });
-            merged.merge(&stats);
+        for workers in [1, 3] {
+            let mut pieces = Vec::new();
+            let mut merged = CampaignStats::new(campaign.scenario().name.clone());
+            for range in [0..2, 2..4, 4..5] {
+                let len = range.len();
+                let clock = ManualClock::new();
+                let mut observer = CollectObserver::default();
+                let mut telemetry = EngineTelemetry::new(&clock, &mut observer, 1);
+                let (stats, high_water) = campaign.execute(
+                    range,
+                    workers,
+                    &mut |seq: usize, t: TrialResult| pieces.push((seq, t)),
+                    Some(&mut telemetry),
+                );
+                assert!(high_water <= workers, "x{workers}: high water {high_water}");
+                let last = observer.snapshots.last().expect("a final snapshot");
+                assert_eq!(last.done, len as u64, "x{workers}: final snapshot");
+                merged.merge(&stats);
+            }
+            assert_eq!(pieces, full, "x{workers}: concatenated ranges diverged");
+            assert_eq!(
+                merged, full_stats,
+                "x{workers}: merged range stats diverged"
+            );
         }
-        assert_eq!(pieces, full, "concatenated ranges diverged");
-        assert_eq!(merged, full_stats, "merged range stats diverged");
     }
 
     #[test]
     #[should_panic(expected = "exceeds campaign size")]
     fn out_of_bounds_range_is_rejected() {
         let campaign = Campaign::new(Scenario::golden(400), 3, 1);
-        campaign.run_range_streamed(2, 2, &mut crate::sink::NullSink);
+        campaign.execute(2..4, 1, &mut crate::sink::NullSink, None);
+    }
+
+    /// A sink that panics on its third row must make `execute` panic —
+    /// on the caller, with helpers blocked on the window or mid-trial —
+    /// never hang. The run happens on a watched thread, so a hang fails
+    /// the test at the timeout instead of wedging the suite.
+    #[test]
+    fn a_panicking_sink_aborts_the_engine_without_hanging() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+
+        for workers in [1, 2, 4] {
+            let (tx, rx) = mpsc::channel();
+            let watched = std::thread::spawn(move || {
+                let campaign = Campaign::new(Scenario::golden(200), 8, 1);
+                let mut rows = 0;
+                let outcome = catch_unwind(AssertUnwindSafe(|| {
+                    campaign.execute(
+                        ..,
+                        workers,
+                        &mut |_seq: usize, _t: TrialResult| {
+                            rows += 1;
+                            assert!(rows < 3, "sink failed on row {rows}");
+                        },
+                        None,
+                    )
+                }));
+                let _ = tx.send(outcome.is_err());
+            });
+            let panicked = rx
+                .recv_timeout(Duration::from_secs(60))
+                .unwrap_or_else(|_| panic!("x{workers}: the engine hung after a sink panic"));
+            assert!(panicked, "x{workers}: the sink panic was swallowed");
+            watched
+                .join()
+                .expect("the watched run reports, it does not panic");
+        }
     }
 
     #[test]
@@ -1276,7 +1315,7 @@ mod tests {
     fn parallel_engine_asserts_certificate_conformance() {
         Campaign::new(Scenario::golden(400), 4, 1)
             .with_certificate(impossible_certificate())
-            .run_parallel_streamed(2, &mut crate::sink::NullSink);
+            .execute(.., 2, &mut crate::sink::NullSink, None);
     }
 
     #[test]

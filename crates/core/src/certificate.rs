@@ -6,7 +6,7 @@
 //! [`Outcome`]s are reachable, how many injections each injector can
 //! spend, and which memory regions applied faults may land in. The
 //! types live here (not in the lint crate) because the runtime side
-//! consumes them: [`crate::Campaign::run_range_streamed`] debug-asserts
+//! consumes them: [`crate::Campaign::execute`] debug-asserts
 //! every trial against an attached certificate, the
 //! [`ConformanceMonitor`] sink wrapper enforces it in release builds,
 //! and the shard handshake pins its [`ScenarioCertificate::fingerprint`]
@@ -31,7 +31,7 @@ use std::sync::Arc;
 
 /// Per-phase bounds derived from one armed stretch of a run: either an
 /// injection window, or the whole step horizon for an unwindowed spec.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PhaseBound {
     /// First step (inclusive) of the phase.
     pub start: u64,
@@ -44,7 +44,7 @@ pub struct PhaseBound {
 }
 
 /// The pre-flight certificate for one scenario.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScenarioCertificate {
     /// The certified scenario's name.
     pub scenario_name: String,
@@ -317,7 +317,7 @@ mod tests {
     fn sample_trial() -> TrialResult {
         let campaign = Campaign::new(Scenario::e3_fig3(), 1, 42);
         let mut sink = CollectSink::new();
-        campaign.run_range_streamed(0, 1, &mut sink);
+        campaign.execute(0..1, 1, &mut sink, None);
         sink.into_trials().into_iter().next().expect("one trial")
     }
 
@@ -366,7 +366,7 @@ mod tests {
         );
         let campaign = Campaign::new(scenario, 1, 7);
         let mut sink = CollectSink::new();
-        campaign.run_range_streamed(0, 1, &mut sink);
+        campaign.execute(0..1, 1, &mut sink, None);
         let trials = sink.into_trials();
         let trial = &trials[0];
         assert!(trial.mem_injection_count > 0, "trial should apply faults");

@@ -89,7 +89,7 @@ pub mod system;
 pub mod telemetry;
 pub mod trace;
 
-pub use campaign::{Campaign, CampaignResult, Scenario, TrialResult, TrialRunner};
+pub use campaign::{Campaign, CampaignResult, Probe, Scenario, TrialResult, TrialRunner};
 pub use certificate::{ConformanceMonitor, ConformanceViolation, PhaseBound, ScenarioCertificate};
 pub use classify::{classify, Outcome, RunReport};
 pub use codec::{decode_exact, encode_to_vec, DecodeError, Reader, Wire};

@@ -18,13 +18,12 @@ use certify_hypervisor::Hypervisor;
 use certify_obs::trace::{TraceEvent, TraceKind, TraceLog, NO_CPU};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
 /// One memory-injection attempt: either the applied corruptions or
 /// the reason the attempt was skipped (skips never panic a worker).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MemInjectionRecord {
     /// Simulator step of the attempt.
     pub step: u64,

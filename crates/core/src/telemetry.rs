@@ -4,8 +4,8 @@
 //! `certify_obs` is a leaf crate — it cannot depend on this one — so
 //! everything that couples its instruments to campaign types lives
 //! here: [`EngineTelemetry`], the bundle
-//! [`Campaign::run_parallel_streamed_observed`](crate::Campaign::run_parallel_streamed_observed)
-//! threads through the streamed engine, plus `Json` renderings of
+//! [`Campaign::execute`](crate::Campaign::execute) threads through
+//! the engine, plus `Json` renderings of
 //! histograms, engine/shard metrics and progress snapshots for the
 //! campaign-service API surface.
 //!

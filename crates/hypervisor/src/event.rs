@@ -11,12 +11,11 @@ use crate::cell::{CellId, CellState};
 use crate::hooks::HandlerKind;
 use certify_arch::cpu::ParkReason;
 use certify_arch::{CpuId, IrqId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Where a wild hypervisor store landed, i.e. which part of the system
 /// a propagating fault corrupted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CorruptionTarget {
     /// A guest cell's memory.
     Cell(CellId),
@@ -35,7 +34,7 @@ impl fmt::Display for CorruptionTarget {
 }
 
 /// One entry in the hypervisor trace.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum HvEvent {
     /// A profiled handler was entered.
     HandlerEntry {
@@ -187,7 +186,7 @@ impl fmt::Display for HvEvent {
 
 /// Per-CPU tally of park events, updated as [`HvEvent::CpuParked`]
 /// entries are recorded.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CpuParkTally {
     /// Parks with [`ParkReason::Idle`].
     pub idle: u64,
@@ -209,7 +208,7 @@ pub struct CpuParkTally {
 /// instead of scanning the whole event trace per question. Everything
 /// here is derivable from [`HvEvent`]s — the equivalence is asserted
 /// by `tests/hotpath_equivalence.rs` in the workspace root.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Evidence {
     per_cpu: Vec<CpuParkTally>,
     /// Steps of every access-violation event, in record order

@@ -270,8 +270,8 @@ impl Default for Histogram {
     }
 }
 
-/// One trial's phase timings, as measured by
-/// `TrialRunner::run_trial_observed`.
+/// One trial's phase timings, as measured by `TrialRunner::run` with
+/// a clock probe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PhaseSample {
     /// System construction + injector installation.

@@ -13,7 +13,7 @@
 //!    frames and posts rows into a shared reorder buffer keyed by
 //!    *global* trial sequence; the consumer drains it strictly in
 //!    seed order — the same delivery contract as
-//!    `Campaign::run_parallel_streamed`, one level up. A per-shard
+//!    `Campaign::execute`, one level up. A per-shard
 //!    buffered-row cap applies pipe backpressure to workers running
 //!    far ahead of the delivery front.
 //! 4. **Fold.** Each shard's final `Done` stats are merged in shard

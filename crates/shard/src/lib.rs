@@ -1,6 +1,6 @@
 //! `certify-shard` — multi-process sharded campaign execution.
 //!
-//! The execution tier above `Campaign::run_parallel_streamed`: where
+//! The execution tier above `Campaign::execute`: where
 //! the in-process engine spreads trials over threads, this crate
 //! spreads them over **OS processes** — the architecture that scales
 //! a fault-injection campaign past one address space and, with a

@@ -17,7 +17,8 @@ fn main() {
         .map(|n| n.get())
         .unwrap_or(4);
     let stats = Campaign::new(Scenario::e3_fig3(), trials, 0xE3)
-        .run_parallel_streamed(workers, &mut NullSink);
+        .execute(.., workers, &mut NullSink, None)
+        .0;
 
     let figure = Figure3::from_stats(&stats);
     println!("{}", figure.render_chart());

@@ -24,16 +24,19 @@ fn main() {
 
     // E1
     let e1 = Campaign::new(Scenario::e1_root_high(), det_trials, seed)
-        .run_parallel_streamed(workers, &mut NullSink);
+        .execute(.., workers, &mut NullSink, None)
+        .0;
     println!("{e1}");
     reports.push(ExperimentReport::e1(&e1));
 
     // E2 (both campaigns)
     let e2_bw = Campaign::new(Scenario::e2_boot_window(), det_trials, seed)
-        .run_parallel_streamed(workers, &mut NullSink);
+        .execute(.., workers, &mut NullSink, None)
+        .0;
     println!("{e2_bw}");
     let e2_full = Campaign::new(Scenario::e2_nonroot_high(), 2 * det_trials, seed)
-        .run_parallel_streamed(workers, &mut NullSink);
+        .execute(.., workers, &mut NullSink, None)
+        .0;
     println!("{e2_full}");
     reports.push(ExperimentReport::e2(&e2_bw, &e2_full));
 
@@ -42,7 +45,8 @@ fn main() {
     // reports themselves only need the online stats.
     let mut e3_csv = CsvSink::in_memory();
     let e3 = Campaign::new(Scenario::e3_fig3(), dist_trials, seed)
-        .run_parallel_streamed(workers, &mut e3_csv);
+        .execute(.., workers, &mut e3_csv, None)
+        .0;
     println!("{e3}");
     let figure = Figure3::from_stats(&e3);
     println!("{}", figure.render_chart());
@@ -55,10 +59,12 @@ fn main() {
 
     // E5 extensions
     let e5a = Campaign::new(Scenario::e5a_watchdog(), dist_trials, seed)
-        .run_parallel_streamed(workers, &mut NullSink);
+        .execute(.., workers, &mut NullSink, None)
+        .0;
     reports.push(ExperimentReport::e5a(&e5a));
     let e5b = Campaign::new(Scenario::e5b_monitor(), det_trials, seed)
-        .run_parallel_streamed(workers, &mut NullSink);
+        .execute(.., workers, &mut NullSink, None)
+        .0;
     reports.push(ExperimentReport::e5b(&e5b));
 
     println!("\n# Summary\n");

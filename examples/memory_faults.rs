@@ -52,8 +52,9 @@ fn main() {
     for model in &models {
         for region in regions {
             let scenario = Scenario::e6_memory(model.clone(), MemTarget::only(region));
-            let stats =
-                Campaign::new(scenario, trials, seed).run_parallel_streamed(workers, &mut NullSink);
+            let stats = Campaign::new(scenario, trials, seed)
+                .execute(.., workers, &mut NullSink, None)
+                .0;
             print!(
                 "\n--- {model} x {region} ({} of {trials} trials injected) ---\n{stats}",
                 stats.mem_injected_trials
@@ -81,7 +82,8 @@ fn main() {
         trials,
         seed,
     )
-    .run_parallel_streamed(workers, &mut csv);
+    .execute(.., workers, &mut csv, None)
+    .0;
     let rows = csv.rows();
     drop(csv.finish().expect("stdout writable"));
     assert_eq!(rows, mixed.trials, "one CSV row per trial");

@@ -4,7 +4,7 @@
 //!
 //! The buffered engine (`Campaign::run_parallel`) holds every trial's
 //! full `RunReport` until the campaign ends; this example runs the
-//! same campaign through `run_parallel_streamed`, where each report
+//! same campaign through `Campaign::execute`, where each report
 //! is delivered to a `TrialSink` in seed order the moment its turn
 //! comes and dropped right after — here a CSV export that keeps one
 //! row buffer, while the outcome distribution folds online into

@@ -50,7 +50,7 @@ fn main() {
         config.capacity
     );
     let mut sink = CollectSink::new();
-    let stats = campaign.run_parallel_streamed(workers, &mut sink);
+    let stats = campaign.execute(.., workers, &mut sink, None).0;
     print!("{stats}");
     let (_, dumps) = sink.into_parts();
     println!(

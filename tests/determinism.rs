@@ -33,11 +33,11 @@ fn assert_parallel_matches_sequential(campaign: &Campaign) {
             "run_parallel({workers}) diverged from run() for scenario {}",
             campaign.scenario().name
         );
-        let parallel_stats = campaign.run_parallel_streamed(workers, &mut NullSink);
+        let parallel_stats = campaign.execute(.., workers, &mut NullSink, None).0;
         assert_eq!(
             sequential_stats,
             parallel_stats,
-            "run_parallel_streamed({workers}) stats diverged for scenario {}",
+            "execute(.., {workers}) stats diverged for scenario {}",
             campaign.scenario().name
         );
     }
@@ -88,45 +88,57 @@ fn mixed_register_memory_campaign_is_deterministic_across_worker_counts() {
 
 #[test]
 fn concatenated_ranges_equal_the_full_run() {
-    // The shard execution primitive: `run_range_streamed` over any
-    // partition of the trial space must deliver exactly the trials —
-    // same global sequence numbers, same full reports — the
-    // single-process `run_streamed` delivers, and the per-range stats
-    // must merge to the full-run stats. E7 arms both injectors, so
-    // this also pins that a range's RNG state never leaks from one
-    // range into the next.
+    // The shard execution primitive: `Campaign::execute` over any
+    // partition of the trial space, at any worker count, must deliver
+    // exactly the trials — same global sequence numbers, same full
+    // reports — the single-process `run_streamed` delivers, and the
+    // per-range stats must merge to the full-run stats. E7 arms both
+    // injectors, so this also pins that a range's RNG state never
+    // leaks from one range into the next.
     use certify_core::campaign::TrialResult;
-    use certify_core::CampaignStats;
+    use certify_core::{CampaignStats, EngineTelemetry};
+    use certify_uncertified::obs::{CollectObserver, ManualClock};
 
     for (scenario, trials) in [(Scenario::e3_fig3(), 8usize), (Scenario::e7_mixed(), 6)] {
         let campaign = Campaign::new(scenario, trials, 0xD5_2022);
+        let name = campaign.scenario().name.clone();
         let mut full = Vec::new();
         let full_stats = campaign.run_streamed(&mut |seq: usize, t: TrialResult| {
             full.push((seq, t));
         });
 
-        for split in 1..trials {
-            let mut pieces = Vec::new();
-            let mut merged = CampaignStats::new(campaign.scenario().name.clone());
-            for (start, len) in [(0, split), (split, trials - split)] {
-                merged.merge(&campaign.run_range_streamed(
-                    start,
-                    len,
-                    &mut |seq: usize, t: TrialResult| {
-                        pieces.push((seq, t));
-                    },
-                ));
+        for workers in [1, 3] {
+            for split in 1..trials {
+                let mut pieces = Vec::new();
+                let mut merged = CampaignStats::new(name.clone());
+                for range in [0..split, split..trials] {
+                    let len = range.len() as u64;
+                    let clock = ManualClock::new();
+                    let mut observer = CollectObserver::default();
+                    let mut telemetry = EngineTelemetry::new(&clock, &mut observer, 0);
+                    let (stats, high_water) = campaign.execute(
+                        range,
+                        workers,
+                        &mut |seq: usize, t: TrialResult| pieces.push((seq, t)),
+                        Some(&mut telemetry),
+                    );
+                    assert!(
+                        high_water <= workers,
+                        "{name} x{workers}: high water {high_water}"
+                    );
+                    let last = observer.snapshots.last().expect("a final snapshot");
+                    assert_eq!(last.done, len, "{name} x{workers}: final snapshot");
+                    merged.merge(&stats);
+                }
+                assert_eq!(
+                    pieces, full,
+                    "{name} x{workers}: ranges split at {split} diverged"
+                );
+                assert_eq!(
+                    merged, full_stats,
+                    "{name} x{workers}: merged range stats diverged at split {split}"
+                );
             }
-            assert_eq!(
-                pieces,
-                full,
-                "ranges split at {split} diverged for scenario {}",
-                campaign.scenario().name
-            );
-            assert_eq!(
-                merged, full_stats,
-                "merged range stats diverged at split {split}"
-            );
         }
     }
 }
@@ -155,7 +167,7 @@ fn traced_campaigns_dump_identically_across_engines() {
 
         for workers in worker_counts() {
             let mut par_sink = CollectSink::new();
-            campaign.run_parallel_streamed(workers, &mut par_sink);
+            campaign.execute(.., workers, &mut par_sink, None);
             let (par_trials, par_dumps) = par_sink.into_parts();
             assert_eq!(
                 seq_trials, par_trials,

@@ -228,7 +228,7 @@ fn streamed_and_buffered_campaigns_agree_after_the_overhaul() {
             campaign.scenario().name
         );
         let mut sink = CsvSink::in_memory();
-        let parallel_stats = campaign.run_parallel_streamed(4, &mut sink);
+        let parallel_stats = campaign.execute(.., 4, &mut sink, None).0;
         assert_eq!(
             parallel_stats,
             stats,
@@ -258,53 +258,98 @@ fn streamed_and_buffered_campaigns_agree_after_the_overhaul() {
 
 /// The observability law: telemetry must never influence trial
 /// results. An instrumented run — phase timings, engine metrics,
-/// progress snapshots — must produce the *same stats and the same CSV
-/// bytes* as the uninstrumented engine, for every scenario shape.
+/// progress snapshots — must produce the *same stats, the same CSV
+/// bytes and the same dumps* as the uninstrumented engine, for every
+/// scenario shape, and it composes with tracing: an observed traced
+/// run still samples every trial's phases.
 #[test]
 fn instrumented_runs_leave_results_and_csv_untouched() {
-    use certify_core::EngineTelemetry;
+    use certify_core::{DumpPolicy, EngineTelemetry, TraceConfig};
     use certify_uncertified::obs::{CollectObserver, ManualClock};
 
+    let traces = [
+        None,
+        Some(TraceConfig::new().with_policy(DumpPolicy::anomalies())),
+    ];
     for (scenario, trials) in scenarios() {
-        let campaign = Campaign::new(scenario, trials, 0xD5_2022);
-        let name = campaign.scenario().name.clone();
+        for trace in &traces {
+            let mut campaign = Campaign::new(scenario.clone(), trials, 0xD5_2022);
+            if let Some(config) = trace {
+                campaign = campaign.with_trace(config.clone());
+            }
+            let name = format!("{} traced={}", scenario.name, trace.is_some());
 
-        let mut plain_sink = CsvSink::in_memory();
-        let plain_stats = campaign.run_parallel_streamed(4, &mut plain_sink);
-        let plain_csv = plain_sink.into_csv();
+            let mut plain_sink = CsvDumpSink::default();
+            let plain_stats = campaign.execute(.., 4, &mut plain_sink, None).0;
+            let plain_csv = plain_sink.csv.into_csv();
 
-        let clock = ManualClock::new();
-        let mut observer = CollectObserver::default();
-        let mut telemetry = EngineTelemetry::new(&clock, &mut observer, 2);
-        let mut observed_sink = CsvSink::in_memory();
-        let observed_stats =
-            campaign.run_parallel_streamed_observed(4, &mut observed_sink, &mut telemetry);
-        let observed_csv = observed_sink.into_csv();
+            let clock = ManualClock::new();
+            let mut observer = CollectObserver::default();
+            let mut telemetry = EngineTelemetry::new(&clock, &mut observer, 2);
+            let mut observed_sink = CsvDumpSink::default();
+            let observed_stats = campaign
+                .execute(.., 4, &mut observed_sink, Some(&mut telemetry))
+                .0;
 
-        assert_eq!(observed_stats, plain_stats, "{name}: stats diverged");
-        assert_eq!(observed_csv, plain_csv, "{name}: CSV bytes diverged");
+            assert_eq!(observed_stats, plain_stats, "{name}: stats diverged");
+            assert_eq!(
+                observed_sink.dumps, plain_sink.dumps,
+                "{name}: dumps diverged"
+            );
+            let observed_csv = observed_sink.csv.into_csv();
+            assert_eq!(observed_csv, plain_csv, "{name}: CSV bytes diverged");
 
-        // And the run must actually have been observed.
-        let metrics = &telemetry.metrics;
-        assert_eq!(metrics.trials.get(), trials as u64, "{name}: trial count");
-        assert_eq!(
-            metrics.phases.total.count(),
-            trials as u64,
-            "{name}: phase samples"
-        );
-        assert_eq!(metrics.sink_rows.get(), trials as u64, "{name}: sink rows");
-        assert_eq!(
-            metrics.sink_bytes.get(),
-            plain_csv.len() as u64,
-            "{name}: sink bytes"
-        );
-        let last = observer
-            .snapshots
-            .last()
-            .unwrap_or_else(|| panic!("{name}: no progress snapshots"));
-        assert_eq!(last.done, trials as u64, "{name}: final snapshot done");
-        assert_eq!(last.total, trials as u64, "{name}: final snapshot total");
-        assert_eq!(last.source, None, "{name}: campaign-level snapshot");
+            // And the run must actually have been observed.
+            let metrics = &telemetry.metrics;
+            assert_eq!(metrics.trials.get(), trials as u64, "{name}: trial count");
+            assert_eq!(
+                metrics.phases.total.count(),
+                trials as u64,
+                "{name}: phase samples"
+            );
+            assert_eq!(metrics.sink_rows.get(), trials as u64, "{name}: sink rows");
+            assert_eq!(
+                metrics.sink_bytes.get(),
+                plain_csv.len() as u64,
+                "{name}: sink bytes"
+            );
+            let last = observer
+                .snapshots
+                .last()
+                .unwrap_or_else(|| panic!("{name}: no progress snapshots"));
+            assert_eq!(last.done, trials as u64, "{name}: final snapshot done");
+            assert_eq!(last.total, trials as u64, "{name}: final snapshot total");
+            assert_eq!(last.source, None, "{name}: campaign-level snapshot");
+        }
+    }
+}
+
+/// A CSV sink that also keeps every delivered dump's JSON.
+struct CsvDumpSink {
+    csv: CsvSink<Vec<u8>>,
+    dumps: Vec<(usize, String)>,
+}
+
+impl Default for CsvDumpSink {
+    fn default() -> CsvDumpSink {
+        CsvDumpSink {
+            csv: CsvSink::in_memory(),
+            dumps: Vec::new(),
+        }
+    }
+}
+
+impl certify_core::TrialSink for CsvDumpSink {
+    fn accept(&mut self, seq: usize, trial: certify_core::TrialResult) {
+        self.csv.accept(seq, trial);
+    }
+
+    fn accept_dump(&mut self, seq: usize, dump: certify_core::TraceDump) {
+        self.dumps.push((seq, dump.to_json().render()));
+    }
+
+    fn bytes_written(&self) -> Option<u64> {
+        self.csv.bytes_written()
     }
 }
 
@@ -321,7 +366,7 @@ fn tracing_leaves_results_and_csv_untouched() {
         let name = campaign.scenario().name.clone();
 
         let mut plain_sink = CsvSink::in_memory();
-        let plain_stats = campaign.run_parallel_streamed(4, &mut plain_sink);
+        let plain_stats = campaign.execute(.., 4, &mut plain_sink, None).0;
         let plain_csv = plain_sink.into_csv();
 
         // Tracing off through the traced entry point.
@@ -336,7 +381,7 @@ fn tracing_leaves_results_and_csv_untouched() {
         // Tracing on: same stats, same CSV bytes, out both engines.
         let traced = campaign.clone().with_trace(TraceConfig::new());
         let mut traced_sink = CsvSink::in_memory();
-        let traced_stats = traced.run_parallel_streamed(4, &mut traced_sink);
+        let traced_stats = traced.execute(.., 4, &mut traced_sink, None).0;
         assert_eq!(traced_stats, plain_stats, "{name}: traced stats diverged");
         assert_eq!(
             traced_sink.into_csv(),
@@ -362,12 +407,14 @@ fn instrumented_run_under_the_real_clock_matches_plain() {
     use certify_uncertified::obs::{CollectObserver, MonotonicClock};
 
     let campaign = Campaign::new(Scenario::e3_fig3(), 8, 0xD5_2022);
-    let plain_stats = campaign.run_parallel_streamed(4, &mut NullSink);
+    let plain_stats = campaign.execute(.., 4, &mut NullSink, None).0;
 
     let clock = MonotonicClock::new();
     let mut observer = CollectObserver::default();
     let mut telemetry = EngineTelemetry::new(&clock, &mut observer, 0);
-    let observed_stats = campaign.run_parallel_streamed_observed(4, &mut NullSink, &mut telemetry);
+    let observed_stats = campaign
+        .execute(.., 4, &mut NullSink, Some(&mut telemetry))
+        .0;
 
     assert_eq!(observed_stats, plain_stats);
     assert_eq!(telemetry.metrics.trials.get(), 8);
@@ -380,8 +427,9 @@ fn instrumented_run_under_the_real_clock_matches_plain() {
 
 #[test]
 fn e3_shape_at_the_bench_seed_is_preserved() {
-    let stats =
-        Campaign::new(Scenario::e3_fig3(), 150, 0xD5_2022).run_parallel_streamed(4, &mut NullSink);
+    let stats = Campaign::new(Scenario::e3_fig3(), 150, 0xD5_2022)
+        .execute(.., 4, &mut NullSink, None)
+        .0;
     assert_eq!(stats.count(Outcome::PanicPark), 55, "{stats}");
     assert_eq!(stats.count(Outcome::CpuPark), 16, "{stats}");
     assert_eq!(stats.count(Outcome::Correct), 79, "{stats}");
@@ -585,7 +633,7 @@ fn parallel_engine_restores_equal_from_scratch_at_1_and_4_workers() {
         let campaign = Campaign::new(scenario, trials, 0xD5_2022);
         for workers in [1, 4] {
             let mut sink = RenderSink::default();
-            campaign.run_parallel_streamed(workers, &mut sink);
+            campaign.execute(.., workers, &mut sink, None);
             assert_eq!(sink.rows, rows, "{name} x{workers}: untraced rows");
             assert!(sink.dumps.is_empty());
 
@@ -593,7 +641,7 @@ fn parallel_engine_restores_equal_from_scratch_at_1_and_4_workers() {
             campaign
                 .clone()
                 .with_trace(config.clone())
-                .run_parallel_streamed(workers, &mut sink);
+                .execute(.., workers, &mut sink, None);
             assert_eq!(sink.rows, rows, "{name} x{workers}: traced rows");
             assert_eq!(sink.dumps, dumps, "{name} x{workers}: dump JSON");
         }

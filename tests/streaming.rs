@@ -1,10 +1,10 @@
 //! The streamed campaign engine: equivalence with the buffered path,
 //! seed-order delivery, and the O(workers) residency bound.
 //!
-//! Contract under test (see `Campaign::run_parallel_streamed`):
+//! Contract under test (see `Campaign::execute`):
 //!
 //! * same seeds ⇒ identical `CampaignStats` and byte-identical CSV
-//!   from `run`, `run_streamed` and `run_parallel_streamed`, at any
+//!   from `run`, `run_streamed` and `execute`, at any
 //!   worker count;
 //! * sinks always see trials in seed order (`seq` = 0, 1, 2, …);
 //! * at most `workers` completed-but-undelivered reports exist at any
@@ -43,17 +43,17 @@ fn assert_streamed_equals_buffered(campaign: &Campaign) {
 
     for workers in worker_counts() {
         let mut par_csv = CsvSink::in_memory();
-        let par_stats = campaign.run_parallel_streamed(workers, &mut par_csv);
+        let par_stats = campaign.execute(.., workers, &mut par_csv, None).0;
         assert_eq!(
             par_stats,
             reference_stats,
-            "run_parallel_streamed({workers}) stats diverged for {}",
+            "execute(.., {workers}) stats diverged for {}",
             campaign.scenario().name
         );
         assert_eq!(
             par_csv.into_csv(),
             reference_csv,
-            "run_parallel_streamed({workers}) CSV diverged for {}",
+            "execute(.., {workers}) CSV diverged for {}",
             campaign.scenario().name
         );
     }
@@ -89,7 +89,7 @@ fn streamed_stats_equal_the_engines_own_fold() {
     // deliveries by hand.
     let campaign = Campaign::new(Scenario::e1_root_high(), 9, 77);
     let mut folded = CampaignStats::new("e1-root-high");
-    let returned = campaign.run_parallel_streamed(4, &mut folded);
+    let returned = campaign.execute(.., 4, &mut folded, None).0;
     assert_eq!(folded, returned);
 }
 
@@ -139,9 +139,14 @@ fn high_water_is_bounded_even_with_more_workers_than_trials() {
 fn empty_campaign_streams_nothing() {
     let campaign = Campaign::new(Scenario::golden(100), 0, 1);
     let mut seen = 0usize;
-    let stats = campaign.run_parallel_streamed(4, &mut |_seq: usize, _trial: TrialResult| {
-        seen += 1;
-    });
+    let (stats, _) = campaign.execute(
+        ..,
+        4,
+        &mut |_seq: usize, _trial: TrialResult| {
+            seen += 1;
+        },
+        None,
+    );
     assert_eq!(stats.trials, 0);
     assert_eq!(seen, 0);
 }
@@ -171,7 +176,7 @@ proptest! {
     ) {
         let campaign = Campaign::new(Scenario::golden(120), trials, base_seed);
         let mut sink = OrderSink::default();
-        let stats = campaign.run_parallel_streamed(workers, &mut sink);
+        let stats = campaign.execute(.., workers, &mut sink, None).0;
         prop_assert_eq!(stats.trials, trials);
         let expected: Vec<(usize, u64)> =
             (0..trials).map(|i| (i, base_seed + i as u64)).collect();
