@@ -11,27 +11,49 @@
 
 use certify_core::campaign::{CampaignResult, TrialResult};
 use certify_core::TrialSink;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::io::{self, Write};
 
 /// The CSV header row (with trailing newline) shared by the buffered
 /// and streaming writers.
 pub const CSV_HEADER: &str = "seed,outcome,injections,mem_injections,cell_state,cpu1_park,serial_lines,watchdog_expiry,monitor_alarms,applied_faults,notes\n";
 
-/// Escapes one CSV field (RFC-4180 quoting). A bare carriage return
-/// must be quoted like a line feed — RFC 4180 treats CRLF (and by
-/// extension any CR) as a record terminator, so an unquoted `\r` in a
-/// note or fault rendering would split the row.
-fn field(value: &str) -> String {
-    if value.contains(',') || value.contains('"') || value.contains('\n') || value.contains('\r') {
-        format!("\"{}\"", value.replace('"', "\"\""))
-    } else {
-        value.to_string()
+/// Appends one field that `write` renders, RFC-4180 quoted in place.
+/// A bare carriage return must be quoted like a line feed — RFC 4180
+/// treats CRLF (and by extension any CR) as a record terminator, so an
+/// unquoted `\r` in a note or fault rendering would split the row.
+fn push_field(out: &mut String, write: impl FnOnce(&mut String)) {
+    let start = out.len();
+    write(out);
+    if !out[start..]
+        .bytes()
+        .any(|b| matches!(b, b',' | b'"' | b'\n' | b'\r'))
+    {
+        return;
+    }
+    let value = out.split_off(start);
+    out.push('"');
+    for (i, part) in value.split('"').enumerate() {
+        if i > 0 {
+            out.push_str("\"\"");
+        }
+        out.push_str(part);
+    }
+    out.push('"');
+}
+
+/// Appends `items`' `Display` renderings joined with `"; "`.
+fn push_joined<T: fmt::Display>(out: &mut String, items: impl IntoIterator<Item = T>) {
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push_str("; ");
+        }
+        let _ = write!(out, "{item}");
     }
 }
 
 /// Appends one trial's CSV row (including the trailing newline) to
-/// `out`.
+/// `out`, writing every field in place.
 ///
 /// Columns: `seed,outcome,injections,mem_injections,cell_state,
 /// cpu1_park,serial_lines,watchdog_expiry,monitor_alarms,
@@ -39,47 +61,43 @@ fn field(value: &str) -> String {
 /// register and memory fault of the trial through its `Display` impl,
 /// joined with `"; "`.
 pub fn trial_to_csv_row(trial: &TrialResult, out: &mut String) {
-    let cell_state = trial
-        .report
-        .cell_state
-        .map(|s| s.to_string())
-        .unwrap_or_default();
-    let cpu1_park = trial.report.cpu1_park.clone().unwrap_or_default();
-    let watchdog = trial
-        .report
-        .watchdog_first_expiry
-        .map(|s| s.to_string())
-        .unwrap_or_default();
-    let applied_faults = trial
-        .report
-        .injections
-        .iter()
-        .flat_map(|r| r.faults.iter().map(|f| f.to_string()))
-        .chain(
-            trial
-                .report
-                .mem_injections
-                .iter()
-                .flat_map(|r| r.faults.iter().map(|f| f.to_string())),
-        )
-        .collect::<Vec<String>>()
-        .join("; ");
-    let notes = trial.report.notes.join("; ");
-    let _ = writeln!(
+    let report = &trial.report;
+    let _ = write!(out, "{},", trial.seed);
+    push_field(out, |out| {
+        let _ = write!(out, "{}", trial.outcome);
+    });
+    let _ = write!(
         out,
-        "{},{},{},{},{},{},{},{},{},{},{}",
-        trial.seed,
-        field(&trial.outcome.to_string()),
-        trial.injection_count,
-        trial.mem_injection_count,
-        field(&cell_state),
-        field(&cpu1_park),
-        trial.report.serial_line_count,
-        watchdog,
-        trial.report.monitor_alarms,
-        field(&applied_faults),
-        field(&notes),
+        ",{},{},",
+        trial.injection_count, trial.mem_injection_count
     );
+    push_field(out, |out| {
+        if let Some(state) = report.cell_state {
+            let _ = write!(out, "{state}");
+        }
+    });
+    out.push(',');
+    push_field(out, |out| {
+        out.push_str(report.cpu1_park.as_deref().unwrap_or_default())
+    });
+    let _ = write!(out, ",{},", report.serial_line_count);
+    if let Some(step) = report.watchdog_first_expiry {
+        let _ = write!(out, "{step}");
+    }
+    let _ = write!(out, ",{},", report.monitor_alarms);
+    push_field(out, |out| {
+        let register = report.injections.iter().flat_map(|r| &r.faults);
+        let memory = report.mem_injections.iter().flat_map(|r| &r.faults);
+        push_joined(
+            out,
+            register
+                .map(|f| f as &dyn fmt::Display)
+                .chain(memory.map(|f| f as &dyn fmt::Display)),
+        );
+    });
+    out.push(',');
+    push_field(out, |out| push_joined(out, &report.notes));
+    out.push('\n');
 }
 
 /// Renders a buffered campaign as per-trial CSV rows (header
@@ -255,6 +273,99 @@ mod tests {
     use super::*;
     use certify_core::campaign::{Campaign, Scenario};
 
+    /// Reference quoting: one field escaped into a fresh `String`.
+    fn field(value: &str) -> String {
+        if value.contains(',')
+            || value.contains('"')
+            || value.contains('\n')
+            || value.contains('\r')
+        {
+            format!("\"{}\"", value.replace('"', "\"\""))
+        } else {
+            value.to_string()
+        }
+    }
+
+    /// Reference row: every field rendered to its own `String`, then
+    /// quoted through [`field`] and formatted. The in-place writer
+    /// must reproduce its bytes exactly.
+    fn reference_row(trial: &TrialResult, out: &mut String) {
+        let cell_state = trial
+            .report
+            .cell_state
+            .map(|s| s.to_string())
+            .unwrap_or_default();
+        let cpu1_park = trial.report.cpu1_park.clone().unwrap_or_default();
+        let watchdog = trial
+            .report
+            .watchdog_first_expiry
+            .map(|s| s.to_string())
+            .unwrap_or_default();
+        let applied_faults = trial
+            .report
+            .injections
+            .iter()
+            .flat_map(|r| r.faults.iter().map(|f| f.to_string()))
+            .chain(
+                trial
+                    .report
+                    .mem_injections
+                    .iter()
+                    .flat_map(|r| r.faults.iter().map(|f| f.to_string())),
+            )
+            .collect::<Vec<String>>()
+            .join("; ");
+        let notes = trial.report.notes.join("; ");
+        let _ = writeln!(
+            out,
+            "{},{},{},{},{},{},{},{},{},{},{}",
+            trial.seed,
+            field(&trial.outcome.to_string()),
+            trial.injection_count,
+            trial.mem_injection_count,
+            field(&cell_state),
+            field(&cpu1_park),
+            trial.report.serial_line_count,
+            watchdog,
+            trial.report.monitor_alarms,
+            field(&applied_faults),
+            field(&notes),
+        );
+    }
+
+    /// `value` quoted by the in-place writer, checked against the
+    /// reference [`field`].
+    fn quoted(value: &str) -> String {
+        let mut out = String::from("x,");
+        push_field(&mut out, |out| out.push_str(value));
+        let quoted = out.split_off(2);
+        assert_eq!(quoted, field(value), "{value:?}");
+        quoted
+    }
+
+    #[test]
+    fn rows_match_the_reference_on_e2_e3_and_e7() {
+        for scenario in [
+            Scenario::e2_nonroot_high(),
+            Scenario::e3_fig3(),
+            Scenario::e7_mixed(),
+        ] {
+            let runner = scenario.runner();
+            let (mut row, mut reference) = (String::new(), String::new());
+            let mut faults = 0;
+            for seed in 0..50 {
+                let trial = runner.run_trial(seed);
+                faults += trial.injection_count + trial.mem_injection_count;
+                row.clear();
+                reference.clear();
+                trial_to_csv_row(&trial, &mut row);
+                reference_row(&trial, &mut reference);
+                assert_eq!(row, reference, "{} seed {seed}", scenario.name);
+            }
+            assert!(faults > 0, "{}: no fault was applied", scenario.name);
+        }
+    }
+
     #[test]
     fn csv_has_one_row_per_trial_plus_header() {
         let result = Campaign::new(Scenario::e1_root_high(), 3, 1).run();
@@ -427,9 +538,9 @@ mod tests {
 
     #[test]
     fn fields_with_commas_are_quoted() {
-        assert_eq!(field("a,b"), "\"a,b\"");
-        assert_eq!(field("plain"), "plain");
-        assert_eq!(field("say \"hi\""), "\"say \"\"hi\"\"\"");
+        assert_eq!(quoted("a,b"), "\"a,b\"");
+        assert_eq!(quoted("plain"), "plain");
+        assert_eq!(quoted("say \"hi\""), "\"say \"\"hi\"\"\"");
     }
 
     #[test]
@@ -437,25 +548,25 @@ mod tests {
         // RFC 4180: CR participates in the record terminator, so a
         // bare `\r` inside a field must force quoting or the row
         // splits in consumers that accept lone-CR line endings.
-        assert_eq!(field("a\rb"), "\"a\rb\"");
-        assert_eq!(field("a\r\nb"), "\"a\r\nb\"");
-        assert_eq!(field("\r"), "\"\r\"");
+        assert_eq!(quoted("a\rb"), "\"a\rb\"");
+        assert_eq!(quoted("a\r\nb"), "\"a\r\nb\"");
+        assert_eq!(quoted("\r"), "\"\r\"");
     }
 
     #[test]
     fn rfc4180_quoting_round_trips_every_special_character() {
         // RFC 4180: fields with comma, quote or newline are wrapped in
         // double quotes and embedded quotes are doubled.
-        assert_eq!(field("a\nb"), "\"a\nb\"");
-        assert_eq!(field("\""), "\"\"\"\"");
+        assert_eq!(quoted("a\nb"), "\"a\nb\"");
+        assert_eq!(quoted("\""), "\"\"\"\"");
         assert_eq!(
-            field("r0, r1: \"both\"\ncorrupted"),
+            quoted("r0, r1: \"both\"\ncorrupted"),
             "\"r0, r1: \"\"both\"\"\ncorrupted\""
         );
         // Unquoting a quoted field restores the original.
         let original = "notes, with \"quotes\" and, commas";
-        let quoted = field(original);
-        let inner = quoted
+        let wrapped = quoted(original);
+        let inner = wrapped
             .strip_prefix('"')
             .and_then(|s| s.strip_suffix('"'))
             .unwrap();

@@ -40,7 +40,7 @@ use crate::spec::{InjectionSpec, MemorySpec};
 use crate::stats::CampaignStats;
 use crate::system::System;
 use crate::telemetry::{outcome_rows, EngineTelemetry};
-use crate::trace::{trace_event_to_json, TraceConfig, TraceDump};
+use crate::trace::{write_events_json, TraceConfig, TraceDump};
 use certify_guest_linux::MgmtScript;
 use certify_obs::trace::{TraceEvent, TraceKind, TraceLog, NO_CPU};
 use certify_obs::{Clock, EngineMetrics, PhaseSample, ProgressTracker};
@@ -444,7 +444,7 @@ impl TrialRunner {
                     .expect("a traced trial starts with a recorder")
                     .clone();
                 catch_unwind(AssertUnwindSafe(|| finish(&mut system))).unwrap_or_else(|payload| {
-                    self.print_ring(seed, &log);
+                    eprintln!("{}", self.panic_ring_json(seed, &log));
                     resume_unwind(payload)
                 })
             }
@@ -472,21 +472,20 @@ impl TrialRunner {
         trial
     }
 
-    /// Prints a panicking traced trial's ring as JSON to stderr.
-    fn print_ring(&self, seed: u64, log: &TraceLog) {
-        let events = log.snapshot();
-        let doc = Json::obj([
+    /// A panicking traced trial's ring as JSON, printed to stderr
+    /// before the unwind resumes.
+    fn panic_ring_json(&self, seed: u64, log: &TraceLog) -> String {
+        let mut events = String::new();
+        write_events_json(&log.snapshot(), &mut events);
+        Json::obj([
             ("seed", Json::U64(seed)),
             ("scenario", Json::str(self.name.to_string())),
             ("panicked", Json::Bool(true)),
             ("total", Json::U64(log.total())),
             ("dropped", Json::U64(log.dropped())),
-            (
-                "events",
-                Json::Arr(events.iter().map(trace_event_to_json).collect()),
-            ),
-        ]);
-        eprintln!("{}", doc.render());
+            ("events", Json::Raw(events)),
+        ])
+        .render()
     }
 
     /// Runs one seeded trial: [`TrialRunner::run`] with an empty probe.
@@ -1115,6 +1114,31 @@ impl fmt::Display for CampaignResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn panic_ring_json_shares_the_dump_event_writer() {
+        let log = TraceLog::new(2);
+        for step in 1..=3u64 {
+            log.record(TraceEvent {
+                step,
+                cpu: if step == 3 { NO_CPU } else { 1 },
+                kind: TraceKind::TrapTaken,
+                arg_a: step,
+                arg_b: u64::MAX,
+            });
+        }
+        let runner = Scenario::golden(800).runner();
+        let dump = TraceDump::capture(&log, 9, &runner.name, Outcome::Correct).to_json();
+        let dump = dump.render();
+        let events = &dump[dump.find(",\"events\":").expect("dump has events")..];
+        assert_eq!(
+            runner.panic_ring_json(9, &log),
+            format!(
+                "{{\"seed\":9,\"scenario\":\"{}\",\"panicked\":true,\"total\":3,\"dropped\":1{events}",
+                runner.name
+            )
+        );
+    }
 
     #[test]
     fn golden_campaign_is_all_correct() {

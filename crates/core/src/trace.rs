@@ -9,7 +9,8 @@
 //! outcome set (or violates the attached certificate), the recorder's
 //! contents are captured as a [`TraceDump`] and delivered to the sink
 //! via [`crate::sink::TrialSink::accept_dump`]. Dumps export as
-//! deterministic JSON ([`TraceDump::to_json`]) and as
+//! deterministic JSON ([`TraceDump::write_json`], or
+//! [`TraceDump::to_json`] as a value) and as
 //! `chrome://tracing` JSON ([`TraceDump::to_chrome_trace`]).
 //!
 //! Everything here is a pure function of the trial seed: the same
@@ -18,7 +19,7 @@
 //! `tests/determinism.rs` and `crates/shard/tests/sharded.rs`.
 
 use crate::classify::Outcome;
-use crate::json::Json;
+use crate::json::{write_escaped, write_u64, Json};
 use certify_obs::trace::{TraceEvent, TraceLog, NO_CPU};
 use std::collections::BTreeSet;
 
@@ -158,19 +159,34 @@ impl TraceDump {
         }
     }
 
-    /// The dump as a deterministic JSON value (via [`crate::json`]).
+    /// The dump as a deterministic JSON value: [`TraceDump::write_json`]'s
+    /// document, wrapped as [`Json::Raw`].
     pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("seed", Json::U64(self.seed)),
-            ("scenario", Json::str(self.scenario.clone())),
-            ("outcome", Json::str(self.outcome.to_string())),
-            ("total", Json::U64(self.total)),
-            ("dropped", Json::U64(self.dropped)),
-            (
-                "events",
-                Json::Arr(self.events.iter().map(trace_event_to_json).collect()),
-            ),
-        ])
+        let mut out = String::new();
+        self.write_json(&mut out);
+        Json::Raw(out)
+    }
+
+    /// Appends the dump as one compact JSON object to `out`:
+    /// `seed`, `scenario`, `outcome`, `total`, `dropped`, then the
+    /// `events` array of `{"step","cpu","kind","a","b"}` objects, a
+    /// [`NO_CPU`] cpu as `null`. Nothing is allocated per event, so a
+    /// caller writing many dumps can reuse one buffer.
+    pub fn write_json(&self, out: &mut String) {
+        out.reserve(96 + self.scenario.len() + self.events.len() * EVENT_JSON_BYTES);
+        out.push_str("{\"seed\":");
+        write_u64(self.seed, out);
+        out.push_str(",\"scenario\":");
+        write_escaped(&self.scenario, out);
+        out.push_str(",\"outcome\":");
+        write_escaped(&self.outcome.to_string(), out);
+        out.push_str(",\"total\":");
+        write_u64(self.total, out);
+        out.push_str(",\"dropped\":");
+        write_u64(self.dropped, out);
+        out.push_str(",\"events\":");
+        write_events_json(&self.events, out);
+        out.push('}');
     }
 
     /// The dump as a `chrome://tracing` / Perfetto JSON document:
@@ -217,26 +233,143 @@ impl TraceDump {
     }
 }
 
-/// One event as JSON; a [`NO_CPU`] cpu renders as `null`.
-pub(crate) fn trace_event_to_json(event: &TraceEvent) -> Json {
-    let cpu = if event.cpu == NO_CPU {
-        Json::Null
-    } else {
-        Json::U64(event.cpu as u64)
-    };
-    Json::obj([
-        ("step", Json::U64(event.step)),
-        ("cpu", cpu),
-        ("kind", Json::str(event.kind.name())),
-        ("a", Json::U64(event.arg_a)),
-        ("b", Json::U64(event.arg_b)),
-    ])
+/// A typical event's JSON length, to size the output buffer up front.
+const EVENT_JSON_BYTES: usize = 64;
+
+/// Appends `events` as a JSON array of
+/// `{"step","cpu","kind","a","b"}` objects; a [`NO_CPU`] cpu renders
+/// as `null`. The one description of a trace event's JSON.
+pub(crate) fn write_events_json(events: &[TraceEvent], out: &mut String) {
+    out.push('[');
+    for (i, event) in events.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str("{\"step\":");
+        write_u64(event.step, out);
+        out.push_str(",\"cpu\":");
+        if event.cpu == NO_CPU {
+            out.push_str("null");
+        } else {
+            write_u64(u64::from(event.cpu), out);
+        }
+        out.push_str(",\"kind\":");
+        write_escaped(event.kind.name(), out);
+        out.push_str(",\"a\":");
+        write_u64(event.arg_a, out);
+        out.push_str(",\"b\":");
+        write_u64(event.arg_b, out);
+        out.push('}');
+    }
+    out.push(']');
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::Scenario;
     use certify_obs::trace::TraceKind;
+
+    /// The reference rendering: the dump built as a [`Json`] tree, one
+    /// node, key and pair list per event, then rendered. The streaming
+    /// writer must reproduce its bytes exactly.
+    fn reference_json(dump: &TraceDump) -> String {
+        let event = |event: &TraceEvent| {
+            let cpu = if event.cpu == NO_CPU {
+                Json::Null
+            } else {
+                Json::U64(event.cpu as u64)
+            };
+            Json::obj([
+                ("step", Json::U64(event.step)),
+                ("cpu", cpu),
+                ("kind", Json::str(event.kind.name())),
+                ("a", Json::U64(event.arg_a)),
+                ("b", Json::U64(event.arg_b)),
+            ])
+        };
+        Json::obj([
+            ("seed", Json::U64(dump.seed)),
+            ("scenario", Json::str(dump.scenario.clone())),
+            ("outcome", Json::str(dump.outcome.to_string())),
+            ("total", Json::U64(dump.total)),
+            ("dropped", Json::U64(dump.dropped)),
+            ("events", Json::Arr(dump.events.iter().map(event).collect())),
+        ])
+        .render()
+    }
+
+    fn assert_matches_reference(dump: &TraceDump) {
+        let mut streamed = String::from("prefix:");
+        dump.write_json(&mut streamed);
+        assert_eq!(
+            streamed.strip_prefix("prefix:"),
+            Some(reference_json(dump).as_str()),
+            "seed {} ({})",
+            dump.seed,
+            dump.scenario
+        );
+        assert_eq!(dump.to_json().render(), reference_json(dump));
+    }
+
+    /// One event of every kind, with `NO_CPU` and `u64::MAX` words.
+    fn edge_dump(scenario: &str) -> TraceDump {
+        let events = TraceKind::ALL
+            .iter()
+            .enumerate()
+            .map(|(i, &kind)| TraceEvent {
+                step: if i % 2 == 0 { u64::MAX } else { i as u64 },
+                cpu: match i % 3 {
+                    0 => NO_CPU,
+                    1 => 0,
+                    _ => NO_CPU - 1,
+                },
+                kind,
+                arg_a: if i % 2 == 1 { u64::MAX } else { 0 },
+                arg_b: u64::MAX - i as u64,
+            })
+            .collect();
+        TraceDump {
+            seed: u64::MAX,
+            scenario: scenario.to_string(),
+            outcome: Outcome::ALL[scenario.len() % Outcome::ALL.len()],
+            total: u64::MAX,
+            dropped: u64::MAX - TraceKind::ALL.len() as u64,
+            events,
+        }
+    }
+
+    #[test]
+    fn streamed_json_matches_the_tree_on_edge_values() {
+        for scenario in [
+            "",
+            "e7-mixed",
+            "quote\" backslash\\ newline\n control\u{1} tab\t cr\r",
+            "non-ASCII: é € 😀 \u{7f} \u{85}",
+        ] {
+            assert_matches_reference(&edge_dump(scenario));
+            let mut empty = edge_dump(scenario);
+            empty.events.clear();
+            assert_matches_reference(&empty);
+        }
+        assert_matches_reference(&sample_dump());
+    }
+
+    #[test]
+    fn streamed_json_matches_the_tree_on_real_e7_dumps() {
+        let config = TraceConfig::new()
+            .with_capacity(512)
+            .with_policy(DumpPolicy::all_outcomes());
+        let runner = Scenario::e7_mixed().runner();
+        let mut kinds = BTreeSet::new();
+        for seed in 0..200 {
+            let (_, dump) = runner.run_trial_traced(seed, Some(&config));
+            let dump = dump.expect("a traced trial captures its ring");
+            kinds.extend(dump.events.iter().map(|e| e.kind.name()));
+            assert_matches_reference(&dump);
+        }
+        assert!(kinds.len() > 1, "real dumps hold several event kinds");
+    }
 
     fn sample_dump() -> TraceDump {
         let log = TraceLog::new(2);

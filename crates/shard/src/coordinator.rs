@@ -467,11 +467,13 @@ fn run_sharded_engine(
     let dumps: Vec<(u64, TraceDump)> = state.dumps.into_iter().collect();
     if let Some(dir) = &opts.dump_dir {
         std::fs::create_dir_all(dir).map_err(ShardError::Output)?;
+        let mut doc = String::new();
         for (seq, dump) in &dumps {
             let path = dir.join(format!("trace-{seq:08}.json"));
-            let mut doc = dump.to_json().render();
+            doc.clear();
+            dump.write_json(&mut doc);
             doc.push('\n');
-            std::fs::write(path, doc).map_err(ShardError::Output)?;
+            std::fs::write(path, &doc).map_err(ShardError::Output)?;
         }
     }
     if let (Some(tracker), Some(observer)) = (&tracker, observer) {

@@ -6,7 +6,9 @@
 //! corruption) dumps its causal event stream. The example then takes
 //! one silent-data-corruption dump and
 //!
-//! * exports it as a `chrome://tracing` / Perfetto JSON document,
+//! * exports it as a `chrome://tracing` / Perfetto JSON document, and
+//!   its flight-recorder JSON (`TraceDump::to_json`) beside it as
+//!   `<path>.dump.json`,
 //! * re-runs the *same seed* through the scenario's fault-free twin
 //!   and prints the golden diff: the first step where the faulty
 //!   trial's causal history diverges from the clean run, plus the
@@ -82,6 +84,11 @@ fn main() {
         "chrome://tracing document written to {}",
         chrome_out.display()
     );
+    let mut dump_out = chrome_out.into_os_string();
+    dump_out.push(".dump.json");
+    let dump_out = PathBuf::from(dump_out);
+    std::fs::write(&dump_out, dump.to_json().render()).expect("write dump JSON");
+    println!("flight-recorder dump written to {}", dump_out.display());
 
     // Golden diff: same seed, fault-free twin, first divergence. A
     // fault-free run survives to the horizon and records more events
