@@ -11,10 +11,11 @@
 //! came online, and E3's CPU-park outcome moves the cell to
 //! [`CellState::Failed`] while the rest of the system keeps going.
 
-use crate::config::{CellConfig, MemFlags};
+use crate::config::{CellConfig, MemFlags, MemRegion};
 use crate::error::HvError;
 use certify_arch::mmu::{S2Perms, Stage2Table, PAGE_SIZE};
 use std::fmt;
+use std::sync::Arc;
 
 /// A cell identifier. Id 0 is always the root cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -68,9 +69,34 @@ pub struct Cell {
     /// Whether an image has been loaded since the last stop.
     loaded: bool,
     /// The stage-2 translation table enforcing this cell's memory
-    /// assignment. Built once from the static configuration — the
-    /// hardware mechanism behind the isolation the paper probes.
-    stage2: Stage2Table,
+    /// assignment — the hardware mechanism behind the isolation the
+    /// paper probes. Copy-on-write: cells created from the same region
+    /// list, and every clone of a cell, share one table until
+    /// [`Cell::stage2_mut`] gives one of them a private copy.
+    stage2: Arc<Stage2Table>,
+}
+
+/// Builds the stage-2 table for a region list (see [`Cell::new`]).
+pub(crate) fn build_stage2(regions: &[MemRegion]) -> Stage2Table {
+    let mut stage2 = Stage2Table::new();
+    for region in regions {
+        if region.flags.contains(MemFlags::IO) {
+            continue;
+        }
+        if region.base % PAGE_SIZE != 0 || region.size % PAGE_SIZE != 0 {
+            // Sub-page device windows (e.g. a UART register block)
+            // are handled by the region-list fast path instead of
+            // the page tables.
+            continue;
+        }
+        let perms = S2Perms {
+            read: region.flags.contains(MemFlags::READ),
+            write: region.flags.contains(MemFlags::WRITE),
+            execute: region.flags.contains(MemFlags::EXECUTE),
+        };
+        stage2.map_identity(region.base, region.size, perms);
+    }
+    stage2
 }
 
 impl Cell {
@@ -80,24 +106,14 @@ impl Cell {
     /// emulated `IO` regions are deliberately left unmapped so their
     /// accesses trap).
     pub fn new(id: CellId, config: CellConfig) -> Cell {
-        let mut stage2 = Stage2Table::new();
-        for region in &config.regions {
-            if region.flags.contains(MemFlags::IO) {
-                continue;
-            }
-            if region.base % PAGE_SIZE != 0 || region.size % PAGE_SIZE != 0 {
-                // Sub-page device windows (e.g. a UART register block)
-                // are handled by the region-list fast path instead of
-                // the page tables.
-                continue;
-            }
-            let perms = S2Perms {
-                read: region.flags.contains(MemFlags::READ),
-                write: region.flags.contains(MemFlags::WRITE),
-                execute: region.flags.contains(MemFlags::EXECUTE),
-            };
-            stage2.map_identity(region.base, region.size, perms);
-        }
+        let stage2 = Arc::new(build_stage2(&config.regions));
+        Cell::with_stage2(id, config, stage2)
+    }
+
+    /// Creates a cell in the [`CellState::Stopped`] state around a
+    /// shared stage-2 table, which must be [`build_stage2`] of the
+    /// configuration's regions.
+    pub(crate) fn with_stage2(id: CellId, config: CellConfig, stage2: Arc<Stage2Table>) -> Cell {
         Cell {
             id,
             config,
@@ -113,10 +129,12 @@ impl Cell {
     }
 
     /// Mutable access to the stage-2 table — the surface a memory-fault
-    /// campaign corrupts to model MMU-table faults. Regular hypervisor
-    /// operation never rewrites the table after [`Cell::new`].
+    /// campaign corrupts to model MMU-table faults, and the only writer
+    /// of a built table. While the table is shared (with the cell's
+    /// clones, or with cells created from the same regions) the first
+    /// call copies it, so a corruption stays in this cell.
     pub fn stage2_mut(&mut self) -> &mut Stage2Table {
-        &mut self.stage2
+        Arc::make_mut(&mut self.stage2)
     }
 
     /// The cell's communication region, rooted at its first private

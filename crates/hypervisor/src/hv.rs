@@ -11,8 +11,8 @@
 //! context *before* reading any register, so every campaign sees the
 //! handler stream exactly as the instrumented Jailhouse did.
 
-use crate::cell::{Cell, CellId, CellState, ROOT_CELL};
-use crate::config::{CellConfig, MemFlags, SystemConfig};
+use crate::cell::{build_stage2, Cell, CellId, CellState, ROOT_CELL};
+use crate::config::{CellConfig, MemFlags, MemRegion, SystemConfig};
 use crate::error::HvError;
 use crate::event::{CorruptionTarget, Evidence, HvEvent};
 use crate::hooks::{HandlerKind, HookCtx, InjectionHook};
@@ -20,10 +20,11 @@ use crate::hypercall as hc;
 use crate::regconv;
 use certify_arch::cpu::ParkReason;
 use certify_arch::syndrome::{ExceptionClass, Syndrome};
-use certify_arch::{CpuId, IrqId, Reg, RegisterFile, SPURIOUS_IRQ};
+use certify_arch::{CpuId, IrqId, Reg, RegisterFile, Stage2Table, SPURIOUS_IRQ};
 use certify_board::{memmap, Machine};
 use certify_obs::trace::{TraceEvent, TraceKind, TraceLog};
 use std::fmt;
+use std::sync::Arc;
 
 /// Maximum size of a staged configuration blob.
 const MAX_BLOB_LEN: u32 = 4096;
@@ -54,10 +55,11 @@ const NUM_HANDLERS: usize = HandlerKind::ALL.len();
 
 /// The partitioning hypervisor.
 ///
-/// `Clone` is a deep copy of the hypervisor state, hook included; an
-/// attached trace log is a shared handle (see
-/// [`certify_obs::trace::TraceLog`]), so the copy records into the
-/// same ring until [`Hypervisor::set_tracer`] points it elsewhere.
+/// `Clone` is a deep copy of the hypervisor state, hook included,
+/// except that the cells' stage-2 tables are shared copy-on-write (see
+/// [`Cell::stage2_mut`]); an attached trace log is a shared handle
+/// (see [`certify_obs::trace::TraceLog`]), so the copy records into
+/// the same ring until [`Hypervisor::set_tracer`] points it elsewhere.
 #[derive(Clone)]
 pub struct Hypervisor {
     platform: SystemConfig,
@@ -85,6 +87,11 @@ pub struct Hypervisor {
     /// Per-CPU cache of the last sub-page direct window resolved via
     /// the region list (see [`Hypervisor::stage2_allows_cached`]).
     direct_win: Vec<DirectWin>,
+    /// The last stage-2 table `CELL_CREATE` built, with the region
+    /// list it was built from: re-creating a cell with the same
+    /// regions shares it instead of building it again. Never written
+    /// through — a corrupting cell copies it first.
+    last_stage2: Option<(Arc<[MemRegion]>, Arc<Stage2Table>)>,
 }
 
 /// One cached direct-access window (sub-page device region).
@@ -127,6 +134,7 @@ impl Hypervisor {
             latent_hv_corruption: false,
             panic: None,
             direct_win: Vec::new(),
+            last_stage2: None,
         }
     }
 
@@ -272,7 +280,8 @@ impl Hypervisor {
     }
 
     /// Mutable access to a cell's stage-2 translation table (memory
-    /// fault injection into the MMU tables).
+    /// fault injection into the MMU tables). A table shared with other
+    /// cells or clones is copied first (see [`Cell::stage2_mut`]).
     pub fn cell_stage2_mut(&mut self, id: CellId) -> Option<&mut certify_arch::Stage2Table> {
         // Table corruption can conjure or remove mappings underneath a
         // cached direct window, so the caches must not outlive the
@@ -820,7 +829,8 @@ impl Hypervisor {
         }
         self.ownership_epoch += 1;
         let step = machine.now();
-        let cell = Cell::new(id, config);
+        let stage2 = self.stage2_for(&config.regions);
+        let cell = Cell::with_stage2(id, config, stage2);
         if let Some(region) = cell.comm_region() {
             region.init(machine, CellState::Stopped);
         }
@@ -831,6 +841,20 @@ impl Hypervisor {
             step,
         });
         Ok(i64::from(id.0))
+    }
+
+    /// The stage-2 table for a new cell with `regions`: the last one
+    /// built when its region list is equal, otherwise a fresh one that
+    /// becomes the last one built.
+    fn stage2_for(&mut self, regions: &[MemRegion]) -> Arc<Stage2Table> {
+        match &self.last_stage2 {
+            Some((built_from, table)) if **built_from == *regions => Arc::clone(table),
+            _ => {
+                let table = Arc::new(build_stage2(regions));
+                self.last_stage2 = Some((Arc::from(regions), Arc::clone(&table)));
+                table
+            }
+        }
     }
 
     fn validate_new_cell(&self, machine: &Machine, config: &CellConfig) -> Result<(), HvError> {
@@ -939,25 +963,26 @@ impl Hypervisor {
             return Err(HvError::InvalidArguments);
         }
         let step = machine.now();
-        let (cpus, irqs, entry, comm) = {
-            let cell = self.cell_mut(id)?;
-            cell.start()?;
-            (
-                cell.config.cpus.clone(),
-                cell.config.irqs.clone(),
-                cell.config.entry,
-                cell.comm_region(),
-            )
-        };
-        if let Some(region) = comm {
+        // Split borrow: the cell's CPU and IRQ lists are read in place
+        // while the boot entries are written.
+        let Hypervisor {
+            cells, boot_entry, ..
+        } = self;
+        let cell = cells
+            .get_mut(id.0 as usize)
+            .and_then(|c| c.as_mut())
+            .ok_or(HvError::NoSuchCell)?;
+        cell.start()?;
+        if let Some(region) = cell.comm_region() {
             region.publish_state(machine, CellState::Running);
         }
-        for irq in &irqs {
+        let config = &cell.config;
+        for irq in &config.irqs {
             machine.gic.enable(*irq);
-            machine.gic.set_target(*irq, cpus[0]);
+            machine.gic.set_target(*irq, config.cpus[0]);
         }
-        for cell_cpu in &cpus {
-            self.boot_entry[cell_cpu.0 as usize] = Some(entry);
+        for cell_cpu in &config.cpus {
+            boot_entry[cell_cpu.0 as usize] = Some(config.entry);
             machine.gic.send_sgi(*cell_cpu, IrqId(memmap::MGMT_SGI));
         }
         self.events.push(HvEvent::CellStateChanged {
@@ -971,18 +996,30 @@ impl Hypervisor {
     /// Returns a cell's CPUs and interrupt lines to the root cell —
     /// the resource handover the paper verifies after `cell shutdown`.
     fn reclaim_cell_resources(&mut self, machine: &mut Machine, id: CellId) {
-        let (cpus, irqs) = match self.cell(id) {
-            Some(cell) => (cell.config.cpus.clone(), cell.config.irqs.clone()),
-            None => return,
+        // Split borrow: the cell's CPU and IRQ lists are read in place
+        // while the ownership tables are written.
+        let Hypervisor {
+            cells,
+            cpu_owner,
+            boot_entry,
+            ownership_epoch,
+            ..
+        } = self;
+        let Some(config) = cells
+            .get(id.0 as usize)
+            .and_then(|c| c.as_ref())
+            .map(|c| &c.config)
+        else {
+            return;
         };
-        for cell_cpu in &cpus {
+        for cell_cpu in &config.cpus {
             machine.cpu_mut(*cell_cpu).park(ParkReason::CellShutdown);
             machine.gic.reset_cpu_interface(*cell_cpu);
-            self.cpu_owner[cell_cpu.0 as usize] = Some(ROOT_CELL);
-            self.boot_entry[cell_cpu.0 as usize] = None;
+            cpu_owner[cell_cpu.0 as usize] = Some(ROOT_CELL);
+            boot_entry[cell_cpu.0 as usize] = None;
         }
-        self.ownership_epoch += 1;
-        for irq in &irqs {
+        *ownership_epoch += 1;
+        for irq in &config.irqs {
             machine.gic.clear_target(*irq);
             machine.gic.disable(*irq);
         }
@@ -1036,21 +1073,18 @@ impl Hypervisor {
             return Err(HvError::InvalidArguments);
         }
         // Existence check before any side effect.
-        let regions = self
-            .cell(id)
-            .ok_or(HvError::NoSuchCell)?
-            .config
-            .regions
-            .clone();
+        if self.cell(id).is_none() {
+            return Err(HvError::NoSuchCell);
+        }
         self.reclaim_cell_resources(machine, id);
+        let cell = self.cells[id.0 as usize].take().expect("checked above");
         // Scrub the cell's private memory.
-        for region in &regions {
+        for region in &cell.config.regions {
             if !region.flags.contains(MemFlags::IO) && !region.flags.contains(MemFlags::SHARED) {
                 let _ = machine.ram_mut().zero_range(region.base, region.size);
             }
         }
         let step = machine.now();
-        self.cells[id.0 as usize] = None;
         self.events.push(HvEvent::CellStateChanged {
             cell: id,
             state: CellState::ShutDown,
@@ -1993,6 +2027,60 @@ mod tests {
         assert_eq!(hv.call_count(HandlerKind::ArchHandleHvc, CpuId(0)), 6);
         assert_eq!(hv.call_count(HandlerKind::ArchHandleHvc, CpuId(1)), 0);
         assert_eq!(hv.call_count(HandlerKind::ArchHandleTrap, CpuId(0)), 0);
+    }
+
+    /// Shuts down and destroys cell `id`, then creates the FreeRTOS
+    /// cell again; returns the new cell's id.
+    fn recreate_rtos_cell(machine: &mut Machine, hv: &mut Hypervisor, id: CellId) -> CellId {
+        for call in [hc::HVC_CELL_SHUTDOWN, hc::HVC_CELL_DESTROY] {
+            assert_eq!(hv.handle_hvc(machine, CpuId(0), call, id.0, 0), 0);
+        }
+        let blob_addr = memmap::ROOT_RAM_BASE + 0x0200_0000;
+        let id = hv.handle_hvc(machine, CpuId(0), hc::HVC_CELL_CREATE, blob_addr, 0);
+        assert!(id > 0, "cell_create failed: {id}");
+        CellId(id as u32)
+    }
+
+    #[test]
+    fn recreated_cell_shares_its_stage2_table() {
+        let (mut machine, mut hv, id) = with_rtos_cell();
+        let first: *const Stage2Table = hv.cell(id).unwrap().stage2();
+        let id = recreate_rtos_cell(&mut machine, &mut hv, id);
+        let (_, shared) = hv.last_stage2.as_ref().unwrap();
+        assert!(std::ptr::eq(first, hv.cell(id).unwrap().stage2()));
+        assert!(std::ptr::eq(first, Arc::as_ptr(shared)));
+        // A different region list builds its own table.
+        let root = hv.cell(ROOT_CELL).unwrap().stage2();
+        assert!(!std::ptr::eq(first, root));
+    }
+
+    #[test]
+    fn stage2_corruption_stays_in_the_corrupted_copy() {
+        let (machine, snapshot, id) = with_rtos_cell();
+        let ipa = memmap::RTOS_RAM_BASE + 0x2000;
+        let pristine = snapshot.cell(id).unwrap().stage2().descriptor_word(ipa);
+        assert_ne!(pristine & certify_arch::mmu::desc::VALID, 0);
+        let (mut corrupted, sibling) = (snapshot.clone(), snapshot.clone());
+        // Clones share the table until one of them writes it.
+        assert!(std::ptr::eq(
+            snapshot.cell(id).unwrap().stage2(),
+            sibling.cell(id).unwrap().stage2()
+        ));
+        corrupted
+            .cell_stage2_mut(id)
+            .unwrap()
+            .set_descriptor_word(ipa, 0);
+        assert_eq!(corrupted.cell(id).unwrap().stage2().descriptor_word(ipa), 0);
+        for untouched in [&snapshot, &sibling] {
+            let table = untouched.cell(id).unwrap().stage2();
+            assert_eq!(table.descriptor_word(ipa), pristine);
+        }
+        // The next cell created in the corrupted copy starts clean.
+        let mut machine = machine;
+        let id = recreate_rtos_cell(&mut machine, &mut corrupted, id);
+        let table = corrupted.cell(id).unwrap().stage2();
+        assert_eq!(table.descriptor_word(ipa), pristine);
+        assert!(std::ptr::eq(table, snapshot.cell(id).unwrap().stage2()));
     }
 
     #[test]

@@ -9,16 +9,23 @@ use certify_board::memmap;
 use certify_hypervisor::{Guest, GuestCtx, GuestHealth};
 use certify_obs::trace::{TraceEvent, TraceKind, TraceLog};
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// The non-root cell guest of the paper: FreeRTOS with the blink /
 /// send-receive / float / integer task set.
 ///
-/// `Clone` is a deep copy (kernel, tasks and all); an attached trace
+/// `Clone` is a deep copy of the running kernel (tasks and all); the
+/// pristine image it restarts from is shared, and an attached trace
 /// log stays a shared handle until [`RtosGuest::set_tracer`] replaces
 /// it.
 #[derive(Clone)]
 pub struct RtosGuest {
-    kernel: Rtos,
+    /// The running kernel: `None` until the first (re)start, while the
+    /// guest is still its image.
+    kernel: Option<Rtos>,
+    /// The never-run kernel every (re)start copies: the workload is
+    /// spawned once per process, not once per boot.
+    image: Arc<Rtos>,
     expected_entry: u32,
     health: GuestHealth,
     booted: bool,
@@ -26,8 +33,6 @@ pub struct RtosGuest {
     /// Set when a wild hypervisor store corrupted this cell's memory:
     /// the next slice dereferences the mangled state and faults.
     pending_corruption: bool,
-    /// Whether the workload includes the E5b safety-heartbeat task.
-    with_heartbeat: bool,
     /// Booted, healthy, banner printed, no corruption pending: the
     /// per-slice fast path, re-derived whenever any of those change.
     steady: bool,
@@ -41,30 +46,28 @@ impl RtosGuest {
     /// `expected_entry` (usually
     /// [`certify_hypervisor::SystemConfig::freertos_cell`]'s `entry`).
     pub fn new(expected_entry: u32) -> RtosGuest {
-        Self::build(expected_entry, false)
+        static IMAGE: OnceLock<Arc<Rtos>> = OnceLock::new();
+        let image = IMAGE.get_or_init(|| pristine(workload::spawn_paper_workload));
+        Self::build(expected_entry, Arc::clone(image))
     }
 
     /// Like [`RtosGuest::new`], with the safety-heartbeat task added
     /// to the workload (extension experiment E5b).
     pub fn with_heartbeat(expected_entry: u32) -> RtosGuest {
-        Self::build(expected_entry, true)
+        static IMAGE: OnceLock<Arc<Rtos>> = OnceLock::new();
+        let image = IMAGE.get_or_init(|| pristine(workload::spawn_paper_workload_with_heartbeat));
+        Self::build(expected_entry, Arc::clone(image))
     }
 
-    fn build(expected_entry: u32, with_heartbeat: bool) -> RtosGuest {
-        let mut kernel = Rtos::new("freertos-demo");
-        if with_heartbeat {
-            workload::spawn_paper_workload_with_heartbeat(&mut kernel);
-        } else {
-            workload::spawn_paper_workload(&mut kernel);
-        }
+    fn build(expected_entry: u32, image: Arc<Rtos>) -> RtosGuest {
         RtosGuest {
-            kernel,
+            kernel: None,
+            image,
             expected_entry,
             health: GuestHealth::Healthy,
             booted: false,
             banner_printed: false,
             pending_corruption: false,
-            with_heartbeat,
             steady: false,
             tracer: None,
         }
@@ -88,15 +91,29 @@ impl RtosGuest {
         }
     }
 
-    /// The guest's kernel (scheduler statistics for the analysis).
+    /// The guest's kernel (scheduler statistics for the analysis); the
+    /// pristine image until the first (re)start.
     pub fn kernel(&self) -> &Rtos {
-        &self.kernel
+        self.kernel.as_ref().unwrap_or(&self.image)
+    }
+
+    fn running(&mut self) -> &mut Rtos {
+        self.kernel
+            .as_mut()
+            .expect("a booted guest runs its own copy of the image")
     }
 
     /// Whether the guest was ever entered.
     pub fn is_booted(&self) -> bool {
         self.booted
     }
+}
+
+/// The pristine kernel image: `spawn` run once on an empty kernel.
+fn pristine(spawn: fn(&mut Rtos)) -> Arc<Rtos> {
+    let mut kernel = Rtos::new("freertos-demo");
+    spawn(&mut kernel);
+    Arc::new(kernel)
 }
 
 impl fmt::Debug for RtosGuest {
@@ -117,7 +134,7 @@ impl Guest for RtosGuest {
         // Hot path: a healthy, booted, banner-printed guest just runs
         // its next slice.
         if self.steady {
-            let picked = self.kernel.run_slice(ctx);
+            let picked = self.running().run_slice(ctx);
             self.trace_sched(ctx, picked);
             if ctx.parked() {
                 self.health = GuestHealth::HardFault;
@@ -143,7 +160,7 @@ impl Guest for RtosGuest {
             self.banner_printed = true;
             let line = format!(
                 "[rtos] FreeRTOS boot: {} tasks ready\n",
-                self.kernel.task_count()
+                self.kernel().task_count()
             );
             ctx.console_print(&line);
             if ctx.parked() {
@@ -151,7 +168,7 @@ impl Guest for RtosGuest {
             }
         }
         self.steady = true;
-        let picked = self.kernel.run_slice(ctx);
+        let picked = self.running().run_slice(ctx);
         self.trace_sched(ctx, picked);
         if ctx.parked() {
             // The slice triggered an unrecoverable trap; stop making
@@ -163,7 +180,7 @@ impl Guest for RtosGuest {
 
     fn on_tick(&mut self, _ctx: &mut GuestCtx<'_>) {
         if self.booted && self.health.is_alive() {
-            self.kernel.tick();
+            self.running().tick();
         }
     }
 
@@ -173,18 +190,7 @@ impl Guest for RtosGuest {
 
     fn on_reset(&mut self, entry: u32) {
         // A (re)start reloads the image: fresh kernel, fresh banner.
-        // The very first boot of a never-entered guest reuses the
-        // pristine kernel built at construction instead of spawning
-        // the whole task set again (per-trial setup cost).
-        if self.booted || self.kernel.total_slices() > 0 || self.kernel.tick_count() > 0 {
-            let mut kernel = Rtos::new("freertos-demo");
-            if self.with_heartbeat {
-                workload::spawn_paper_workload_with_heartbeat(&mut kernel);
-            } else {
-                workload::spawn_paper_workload(&mut kernel);
-            }
-            self.kernel = kernel;
-        }
+        self.kernel = Some(Rtos::clone(&self.image));
         self.banner_printed = false;
         self.pending_corruption = false;
         self.steady = false;
@@ -263,6 +269,44 @@ mod tests {
         let mut ctx = GuestCtx::new(CpuId(1), &mut machine, &mut hv);
         guest.step(&mut ctx);
         assert_eq!(guest.health(), GuestHealth::HardFault);
+    }
+
+    /// Boots `guest`, runs it for a while and resets it again: the
+    /// kernel must come back exactly as `spawn` builds it.
+    fn reset_after_running_is_a_fresh_spawn(mut guest: RtosGuest, spawn: fn(&mut Rtos)) {
+        let (mut machine, mut hv) = ctx_parts();
+        machine.cpu_mut(CpuId(1)).power_on();
+        guest.on_reset(0x7010_8000);
+        for _ in 0..200 {
+            let mut ctx = GuestCtx::new(CpuId(1), &mut machine, &mut hv);
+            guest.step(&mut ctx);
+            guest.on_tick(&mut ctx);
+        }
+        assert_eq!(guest.health(), GuestHealth::Healthy);
+        assert!(guest.kernel().total_slices() > 100);
+        assert!(guest.kernel().tick_count() > 100);
+        let mut fresh = Rtos::new("freertos-demo");
+        spawn(&mut fresh);
+        assert_ne!(guest.kernel().fingerprint(), fresh.fingerprint());
+        guest.on_reset(0x7010_8000);
+        assert_eq!(guest.kernel().fingerprint(), fresh.fingerprint());
+        assert!(!guest.banner_printed && !guest.steady);
+    }
+
+    #[test]
+    fn reset_restores_the_pristine_kernel() {
+        reset_after_running_is_a_fresh_spawn(
+            RtosGuest::new(0x7010_8000),
+            workload::spawn_paper_workload,
+        );
+    }
+
+    #[test]
+    fn reset_restores_the_pristine_heartbeat_kernel() {
+        reset_after_running_is_a_fresh_spawn(
+            RtosGuest::with_heartbeat(0x7010_8000),
+            workload::spawn_paper_workload_with_heartbeat,
+        );
     }
 
     #[test]
